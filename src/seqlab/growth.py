@@ -16,7 +16,6 @@ from math import comb
 from typing import Mapping, Sequence
 
 import mpmath
-import numpy as np
 
 from .recurrences import InsufficientTermsError
 
@@ -71,12 +70,12 @@ def empirical_growth(
     top = len(terms) - 1
     lo = max(1, int(round(top * (1 - tail_fraction))))
     logs = _high_precision_logs({n: terms[n] for n in range(lo, top + 1)})
-    ns = np.arange(lo, top + 1, dtype=float)
-    y = np.array([logs[n] for n in range(lo, top + 1)])
-    design = np.column_stack([ns, -np.log(ns), np.ones_like(ns)])
-    solution, *_ = np.linalg.lstsq(design, y, rcond=None)
+    ns = range(lo, top + 1)
+    design = mpmath.matrix([[n, -math.log(n), 1] for n in ns])
+    y = mpmath.matrix([logs[n] for n in ns])
+    solution, _ = mpmath.qr_solve(design, y)
     log_mu, alpha_hat, _ = solution
-    return float(math.exp(log_mu)), float(alpha_hat)
+    return math.exp(log_mu), float(alpha_hat)
 
 
 def richardson_extrapolate(samples: Sequence[tuple[int, Fraction]]) -> Fraction:

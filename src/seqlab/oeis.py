@@ -7,14 +7,17 @@ environment variable (used by the tests to hit a local fixture server).
 
 from __future__ import annotations
 
+import json
 import os
 import re
 import time
 from dataclasses import dataclass
+from http.client import HTTPException
 from pathlib import Path
 from typing import Sequence
-
-import requests
+from urllib.error import HTTPError
+from urllib.parse import urlencode
+from urllib.request import Request, urlopen
 
 ENV_OEIS_URL = "SEQLAB_OEIS_URL"
 DEFAULT_OEIS_URL = "https://oeis.org/search"
@@ -108,26 +111,25 @@ def lookup_remote(
         raise ValueError("empty query")
     url = base_url or os.environ.get(ENV_OEIS_URL) or DEFAULT_OEIS_URL
     _respect_rate_limit()
+    params = urlencode({"q": ",".join(str(t) for t in query), "fmt": "json"})
     try:
-        response = requests.get(
-            url,
-            params={"q": ",".join(str(t) for t in query), "fmt": "json"},
-            headers={"User-Agent": USER_AGENT},
-            timeout=timeout,
-        )
-    except requests.RequestException as exc:
+        request = Request(f"{url}?{params}", headers={"User-Agent": USER_AGENT})
+        with urlopen(request, timeout=timeout) as response:
+            status = response.status
+            raw = response.read().decode("utf-8", errors="replace")
+    except HTTPError as exc:
+        status = exc.code
+        raw = exc.read().decode("utf-8", errors="replace")
+    except (OSError, HTTPException, ValueError) as exc:
+        # refused or unresolvable host, timeout, broken connection, bad URL
         raise NetworkUnavailableError(f"cannot reach {url}: {exc}") from exc
-    if response.status_code != 200:
-        raise MalformedResponseError(
-            f"endpoint returned HTTP {response.status_code}", payload=response.text
-        )
+    if status != 200:
+        raise MalformedResponseError(f"endpoint returned HTTP {status}", payload=raw)
     try:
-        body = response.json()
+        body = json.loads(raw)
     except ValueError as exc:
-        raise MalformedResponseError(
-            "response is not JSON", payload=response.text
-        ) from exc
-    return _parse_search_results(body, query, raw=response.text)
+        raise MalformedResponseError("response is not JSON", payload=raw) from exc
+    return _parse_search_results(body, query, raw=raw)
 
 
 def _parse_search_results(body, query: list[int], raw: str = "") -> list[OeisMatch]:

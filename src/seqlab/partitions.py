@@ -9,7 +9,7 @@ cache keys). All functions here are pure and safe to call concurrently.
 
 from __future__ import annotations
 
-from math import factorial
+from math import comb, prod
 from typing import Iterable, Iterator
 
 Partition = tuple[int, ...]
@@ -65,24 +65,37 @@ def conjugate(shape: Partition) -> Partition:
 
 
 def syt_count(shape: Partition) -> int:
-    """Number of standard fillings of ``shape``, by the hook-length formula.
+    """Number of standard fillings of ``shape``, by Frobenius' row-length
+    formula.
 
-    Exact for any size; ``syt_count(()) == 1``. The division of the factorial
-    by the hook product is checked to be exact (it always is for a valid
-    partition; a remainder means the input was corrupt).
+    With ``k`` rows, size ``N`` and shifted lengths ``l_i = shape[i] + k - 1
+    - i`` (all distinct), the count is ``N! * prod_{i<j} (l_i - l_j) /
+    prod_i l_i!``. The ``l_i`` sum to ``M = N + k(k-1)/2``, so ``N! / prod
+    l_i!`` is the multinomial ``M! / prod l_i!`` (a product of ``k``
+    binomials) over the small product ``(N+1) ... M``. That keeps every
+    intermediate about the size of the answer: ``O(k^2)`` small-integer work
+    and ``k`` binomials, against one big multiplication per cell for the hook
+    product.
+
+    Exact for any size; ``syt_count(()) == 1``. The final division is checked
+    to be exact (it always is for a valid partition; a remainder means the
+    input was corrupt).
     """
-    size = sum(shape)
-    if size == 0:
-        return 1
-    cols = conjugate(shape)
-    hook_product = 1
-    for i, row in enumerate(shape):
-        for j in range(row):
-            hook_product *= row - j + cols[j] - i - 1
-    count, remainder = divmod(factorial(size), hook_product)
+    k = len(shape)
+    lengths = [part + k - 1 - i for i, part in enumerate(shape)]
+    numerator = 1
+    total = 0
+    for i, li in enumerate(lengths):
+        total += li
+        numerator *= comb(total, li)
+        for lj in lengths[i + 1 :]:
+            numerator *= li - lj
+    denominator = prod(range(sum(shape) + 1, total + 1))
+    count, remainder = divmod(numerator, denominator)
     if remainder:
         raise ArithmeticError(
-            f"hook product {hook_product} does not divide {size}! for {shape}"
+            f"{denominator} does not divide the row-length numerator "
+            f"{numerator} for {shape}"
         )
     return count
 

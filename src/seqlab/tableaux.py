@@ -17,7 +17,7 @@ taller shapes can be pruned the moment they appear.
 
 from __future__ import annotations
 
-from typing import Iterator
+from operator import add
 
 from .partitions import Partition, syt_count
 
@@ -29,30 +29,20 @@ def initial_layer() -> LayerTable:
     return {(): 1}
 
 
-def _grown_shapes(shape: Partition, strip: int, cap: int) -> Iterator[Partition]:
-    """Shapes reachable from ``shape`` by adding a horizontal strip of
-    ``strip`` cells without exceeding ``cap`` rows.
-
-    Additions are enumerated row by row: row 0 is unbounded, row i may grow
-    at most to the previous row's old length (the strip condition), and at
-    most one fresh row can appear at the bottom. This visits each target
-    once, never scanning unrelated partitions.
-    """
-    rows = len(shape)
-
-    def rec(i: int, remaining: int) -> Iterator[Partition]:
-        if i == rows:
-            if remaining == 0:
-                yield ()
-            elif i < cap and (i == 0 or remaining <= shape[i - 1]):
-                yield (remaining,)
-            return
-        top = remaining if i == 0 else min(remaining, shape[i - 1] - shape[i])
-        for add in range(top, -1, -1):
-            for rest in rec(i + 1, remaining - add):
-                yield (shape[i] + add,) + rest
-
-    return rec(0, strip)
+def _strip_additions(room: tuple[int, ...], r: int) -> list[tuple[int, ...]]:
+    """Every way to add ``r`` cells row by row, row i taking at most
+    ``room[i]`` of them."""
+    additions = [()]
+    for i, top in enumerate(room):
+        # what the rows below can still take in total
+        below = sum(room[i + 1 :])
+        additions = [
+            a + (k,)
+            for a in additions
+            for k in range(min(top, r - sum(a)) + 1)
+            if r - sum(a) - k <= below
+        ]
+    return additions
 
 
 def advance_layer(table: LayerTable, r: int, cap: int) -> LayerTable:
@@ -60,14 +50,29 @@ def advance_layer(table: LayerTable, r: int, cap: int) -> LayerTable:
     horizontal-strip extensions by ``r`` cells, pruning shapes taller than
     ``cap`` rows.
 
+    A shape with fewer than ``cap`` rows gets one zero row, where the strip
+    may open a new row. Row 0 may grow by any amount and row i by at most
+    the old gap ``shape[i-1] - shape[i]`` (the strip condition). The strip
+    additions depend only on those gaps capped at ``r``, so they are built
+    once per distinct gap signature and shared by every shape that has it.
+
     Keys of the result are in reverse-lexicographic order, and the result is
     independent of iteration schedule (pure accumulation per target shape).
     """
     if r < 1 or cap < 1:
         raise ValueError("r and cap must be positive")
+    additions: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     grown: LayerTable = {}
     for shape, count in table.items():
-        for target in _grown_shapes(shape, r, cap):
+        p = shape + (0,) if len(shape) < cap else shape
+        room = (r,) + tuple(min(r, a - b) for a, b in zip(p, p[1:]))
+        strips = additions.get(room)
+        if strips is None:
+            strips = additions[room] = _strip_additions(room, r)
+        for a in strips:
+            target = tuple(map(add, p, a))
+            if not target[-1]:
+                target = target[:-1]
             grown[target] = grown.get(target, 0) + count
     return dict(sorted(grown.items(), reverse=True))
 

@@ -58,6 +58,20 @@ def brute_syt_count(shape: tuple[int, ...]) -> int:
     return place(0)
 
 
+def hook_length_count(shape: tuple[int, ...]) -> int:
+    """Standard fillings by the hook-length formula: size! over the product
+    of every cell's hook length (cells to its right, cells below, itself)."""
+    size = sum(shape)
+    hook_product = 1
+    for i, row in enumerate(shape):
+        for j in range(row):
+            below = sum(1 for lower in shape[i + 1 :] if lower > j)
+            hook_product *= row - j + below
+    count, remainder = divmod(factorial(size), hook_product)
+    assert not remainder, (shape, hook_product)
+    return count
+
+
 def brute_ssyt_count(shape: tuple[int, ...], r: int, n: int) -> int:
     """Column-strict fillings with each of 1..n used exactly r times,
     counted cell by cell in row-major order."""

@@ -11,7 +11,7 @@ from seqlab.partitions import (
     syt_count,
 )
 
-from helpers import brute_partitions, brute_syt_count, cells_of
+from helpers import brute_partitions, brute_syt_count, cells_of, hook_length_count
 
 partition_strategy = st.lists(st.integers(1, 8), max_size=6).map(
     lambda parts: tuple(sorted(parts, reverse=True))
@@ -100,10 +100,21 @@ class TestSytCount:
             )
             assert total == factorial(n)
 
+    def test_matches_hook_length_up_to_six_rows(self):
+        for size in range(31):
+            for shape in brute_partitions(size, 6):
+                assert syt_count(shape) == hook_length_count(shape), shape
+
+    def test_matches_hook_length_every_shape(self):
+        for size in range(13):
+            for shape in brute_partitions(size, size):
+                assert syt_count(shape) == hook_length_count(shape), shape
+
     def test_conjugation_symmetry_and_exact_division(self):
         for size in range(13):
             for shape in partitions_upto_length(size, size):
-                # syt_count raises if the hook product fails to divide
+                # syt_count raises if the row-length formula's division
+                # leaves a remainder
                 assert syt_count(shape) == syt_count(conjugate(shape))
 
 

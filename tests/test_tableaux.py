@@ -2,7 +2,7 @@ from math import factorial
 
 import pytest
 
-from seqlab.partitions import partitions_upto_length, syt_count
+from seqlab.partitions import is_horizontal_strip, partitions_upto_length, syt_count
 from seqlab.tableaux import (
     advance_layer,
     avoiders_count,
@@ -35,6 +35,27 @@ class TestAdvanceLayer:
             table = advance_layer(table, 1, 3)
             for shape, value in table.items():
                 assert value == syt_count(shape), (n, shape)
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    @pytest.mark.parametrize("cap", [1, 2, 3, 4])
+    def test_matches_strip_filter(self, r, cap):
+        # every candidate shape one letter up, kept if it is a horizontal
+        # strip over some shape of the layer below
+        expected = initial_layer()
+        table = initial_layer()
+        for n in range(1, 7):
+            below = expected
+            expected = {}
+            for outer in partitions_upto_length(r * n, cap):
+                total = sum(
+                    count
+                    for inner, count in below.items()
+                    if is_horizontal_strip(inner, outer)
+                )
+                if total:
+                    expected[outer] = total
+            table = advance_layer(table, r, cap)
+            assert list(table.items()) == list(expected.items()), (r, cap, n)
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
