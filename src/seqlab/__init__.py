@@ -9,134 +9,27 @@ integers, growth-constant estimation, Bessel-series determinant checks, and
 an OEIS-compatible cache and lookup client.
 """
 
-from .partitions import (
-    Partition,
-    as_partition,
-    conjugate,
-    is_horizontal_strip,
-    partitions_upto_length,
-    syt_count,
-)
-from .tableaux import (
-    LayerTable,
-    advance_layer,
-    avoiders_count,
-    avoiders_sequence,
-    initial_layer,
-    kostka_uniform,
-)
-from .oracle import (
-    ENUMERATION_BUDGET,
-    Word,
-    brute_count,
-    enumerate_words,
-    longest_strict_increase,
-    total_words,
-)
-from .recurrences import (
-    InsufficientTermsError,
-    NonIntegerStepError,
-    PRecurrence,
-    SingularLeadingCoefficientError,
-    extend,
-    format_recurrence,
-    guess,
-    parse_recurrence,
-    recurrence_residual,
-    verify,
-)
-from .growth import (
-    ConstantEstimate,
-    GrowthParams,
-    conjectured_params,
-    empirical_growth,
-    estimate_constant,
-    richardson_extrapolate,
-)
-from .bessel import (
-    GesselCheck,
-    TruncSeries,
-    bessel_I_2x,
-    bessel_determinant,
-    gessel_check,
-    gessel_coefficient,
-    series_det,
-)
-from .storage import (
-    CacheError,
-    SequenceRecord,
-    cache_load,
-    cache_path,
-    cache_store,
-    format_bfile,
-    parse_bfile,
-    record_to_bfile,
-    resolve_cache_dir,
-)
-from .oeis import (
-    MalformedResponseError,
-    NetworkUnavailableError,
-    OeisError,
-    OeisMatch,
-    oeis_lookup,
-)
+from .bessel import gessel_check
+from .growth import conjectured_params, empirical_growth, estimate_constant
+from .oracle import brute_count
+from .partitions import syt_count
+from .recurrences import extend, guess, verify
+from .tableaux import avoiders_sequence, kostka_uniform
 
 __version__ = "0.1.0"
 
+# The names the README's Library section calls; everything else is imported
+# from its submodule.
 __all__ = [
-    "Partition",
-    "as_partition",
-    "conjugate",
-    "is_horizontal_strip",
-    "partitions_upto_length",
-    "syt_count",
-    "LayerTable",
-    "advance_layer",
-    "avoiders_count",
     "avoiders_sequence",
-    "initial_layer",
     "kostka_uniform",
-    "ENUMERATION_BUDGET",
-    "Word",
+    "syt_count",
     "brute_count",
-    "enumerate_words",
-    "longest_strict_increase",
-    "total_words",
-    "InsufficientTermsError",
-    "NonIntegerStepError",
-    "PRecurrence",
-    "SingularLeadingCoefficientError",
-    "extend",
-    "format_recurrence",
     "guess",
-    "parse_recurrence",
-    "recurrence_residual",
+    "extend",
     "verify",
-    "ConstantEstimate",
-    "GrowthParams",
     "conjectured_params",
     "empirical_growth",
     "estimate_constant",
-    "richardson_extrapolate",
-    "GesselCheck",
-    "TruncSeries",
-    "bessel_I_2x",
-    "bessel_determinant",
     "gessel_check",
-    "gessel_coefficient",
-    "series_det",
-    "CacheError",
-    "SequenceRecord",
-    "cache_load",
-    "cache_path",
-    "cache_store",
-    "format_bfile",
-    "parse_bfile",
-    "record_to_bfile",
-    "resolve_cache_dir",
-    "MalformedResponseError",
-    "NetworkUnavailableError",
-    "OeisError",
-    "OeisMatch",
-    "oeis_lookup",
 ]

@@ -1,11 +1,12 @@
-"""Exact truncated power series over rationals, modified-Bessel expansions,
-and the determinant cross-check against the counting engine.
+"""Modified-Bessel series and the determinant cross-check against the
+counting engine.
 
 For permutations (one copy of each letter), the generating function of the
 counts divided by n!^2 equals a k x k determinant of modified Bessel series
-(Gessel's identity): sum_n u_k(n)/n!^2 * x^(2n) = det(I_(|i-j|)(2x)). The
-series ring and determinant here are exact, so the check is an identity
-test, not a numeric comparison.
+(Gessel's identity): sum_n u_k(n)/n!^2 * x^(2n) = det(I_(|i-j|)(2x)). A
+series truncated after degree ``trunc`` is the list of its ``trunc + 1``
+exact ``Fraction`` coefficients, so the check is an identity test, not a
+numeric comparison.
 """
 
 from __future__ import annotations
@@ -18,131 +19,39 @@ from typing import Sequence
 from .tableaux import avoiders_count
 
 
-class TruncSeries:
-    """A power series truncated after degree ``trunc``, with exact rational
-    coefficients.
-
-    Arithmetic is exact modulo x^(trunc+1); coefficients beyond the
-    truncation are undefined and never fabricated (asking for one raises).
-    Operands must share the same truncation degree.
-    """
-
-    __slots__ = ("trunc", "coeffs")
-
-    def __init__(self, trunc: int, coeffs: Sequence = ()) -> None:
-        if trunc < 0:
-            raise ValueError("truncation degree must be nonnegative")
-        cs = [Fraction(c) for c in coeffs]
-        if len(cs) > trunc + 1:
-            raise ValueError(
-                f"{len(cs)} coefficients exceed truncation degree {trunc}"
-            )
-        cs += [Fraction(0)] * (trunc + 1 - len(cs))
-        object.__setattr__(self, "trunc", trunc)
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncSeries is immutable")
-
-    @classmethod
-    def zero(cls, trunc: int) -> "TruncSeries":
-        return cls(trunc)
-
-    @classmethod
-    def one(cls, trunc: int) -> "TruncSeries":
-        return cls(trunc, (1,))
-
-    def coeff(self, power: int) -> Fraction:
-        if not 0 <= power <= self.trunc:
-            raise ValueError(
-                f"coefficient of x^{power} is undefined at truncation {self.trunc}"
-            )
-        return self.coeffs[power]
-
-    def _require_match(self, other: "TruncSeries") -> None:
-        if self.trunc != other.trunc:
-            raise ValueError(
-                f"truncation mismatch: {self.trunc} vs {other.trunc}"
-            )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
-        return self.trunc == other.trunc and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.trunc, self.coeffs))
-
-    def __neg__(self) -> "TruncSeries":
-        return TruncSeries(self.trunc, [-c for c in self.coeffs])
-
-    def __add__(self, other: "TruncSeries") -> "TruncSeries":
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
-        self._require_match(other)
-        return TruncSeries(
-            self.trunc, [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
-    def __sub__(self, other: "TruncSeries") -> "TruncSeries":
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
-        self._require_match(other)
-        return TruncSeries(
-            self.trunc, [a - b for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, TruncSeries):
-            self._require_match(other)
-            out = [Fraction(0)] * (self.trunc + 1)
-            for i, a in enumerate(self.coeffs):
-                if not a:
-                    continue
-                for j in range(self.trunc + 1 - i):
-                    b = other.coeffs[j]
-                    if b:
-                        out[i + j] += a * b
-            return TruncSeries(self.trunc, out)
-        if isinstance(other, (int, Fraction)):
-            return TruncSeries(self.trunc, [c * other for c in self.coeffs])
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __repr__(self) -> str:
-        parts = []
-        for power, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if power == 0:
-                parts.append(str(c))
-            elif power == 1:
-                parts.append(f"{c}*x" if c != 1 else "x")
-            else:
-                parts.append(f"{c}*x^{power}" if c != 1 else f"x^{power}")
-        body = " + ".join(parts) if parts else "0"
-        return f"TruncSeries({body} mod x^{self.trunc + 1})"
+def _series_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    """Product of two series, truncated to ``len(a)`` coefficients."""
+    size = len(a)
+    out = [Fraction(0)] * size
+    for i, x in enumerate(a):
+        if not x:
+            continue
+        for j in range(size - i):
+            y = b[j]
+            if y:
+                out[i + j] += x * y
+    return out
 
 
-def bessel_I_2x(nu: int, trunc: int) -> TruncSeries:
-    """Series of the modified Bessel function I_nu at argument 2x: the
-    coefficient of x^(2j+nu) is 1/(j! * (j+nu)!).
+def bessel_I_2x(nu: int, trunc: int) -> list[Fraction]:
+    """Series of the modified Bessel function I_nu at argument 2x, as its
+    ``trunc + 1`` coefficients: the coefficient of x^(2j+nu) is
+    1/(j! * (j+nu)!).
 
     Orders above the truncation give the zero series.
     """
-    if nu < 0:
-        raise ValueError("Bessel order must be nonnegative")
+    if nu < 0 or trunc < 0:
+        raise ValueError("Bessel order and truncation degree must be nonnegative")
     coeffs = [Fraction(0)] * (trunc + 1)
     j = 0
     while 2 * j + nu <= trunc:
         coeffs[2 * j + nu] = Fraction(1, factorial(j) * factorial(j + nu))
         j += 1
-    return TruncSeries(trunc, coeffs)
+    return coeffs
 
 
-def series_det(matrix: Sequence[Sequence[TruncSeries]]) -> TruncSeries:
-    """Determinant of a square matrix of TruncSeries sharing one truncation.
+def series_det(matrix: Sequence[Sequence[list[Fraction]]]) -> list[Fraction]:
+    """Determinant of a square matrix of series of one length.
 
     Expansion by minors with memoization on column subsets: O(2^k) series
     products, fine for k up to ~8. Elimination-style algorithms would divide
@@ -151,33 +60,34 @@ def series_det(matrix: Sequence[Sequence[TruncSeries]]) -> TruncSeries:
     k = len(matrix)
     if k == 0 or any(len(row) != k for row in matrix):
         raise ValueError("matrix must be square and nonempty")
-    trunc = matrix[0][0].trunc
-    for row in matrix:
-        for entry in row:
-            if entry.trunc != trunc:
-                raise ValueError("all entries must share one truncation")
-    memo: dict[int, TruncSeries] = {0: TruncSeries.one(trunc)}
+    size = len(matrix[0][0])
+    if any(len(entry) != size for row in matrix for entry in row):
+        raise ValueError("all entries must share one truncation")
+    memo = {0: [Fraction(1)] + [Fraction(0)] * (size - 1)}
 
-    def expand(mask: int) -> TruncSeries:
+    def expand(mask: int) -> list[Fraction]:
         cached = memo.get(mask)
         if cached is not None:
             return cached
         row = k - bin(mask).count("1")
-        acc = TruncSeries.zero(trunc)
-        sign = 1
+        acc = [Fraction(0)] * size
+        add = True
         for col in range(k):
             bit = 1 << col
             if mask & bit:
-                term = matrix[row][col] * expand(mask & ~bit)
-                acc = acc + term if sign > 0 else acc - term
-                sign = -sign
+                term = _series_mul(matrix[row][col], expand(mask & ~bit))
+                if add:
+                    acc = [a + t for a, t in zip(acc, term)]
+                else:
+                    acc = [a - t for a, t in zip(acc, term)]
+                add = not add
         memo[mask] = acc
         return acc
 
     return expand((1 << k) - 1)
 
 
-def bessel_determinant(k: int, trunc: int) -> TruncSeries:
+def bessel_determinant(k: int, trunc: int) -> list[Fraction]:
     """det(I_(|i-j|)(2x)) for i, j = 1..k, truncated after degree ``trunc``."""
     if k < 1:
         raise ValueError("k must be positive")
@@ -189,7 +99,7 @@ def gessel_coefficient(k: int, n: int) -> Fraction:
     """Coefficient of x^(2n) in the k x k Bessel determinant, exact."""
     if k < 1 or n < 0:
         raise ValueError("need k >= 1 and n >= 0")
-    return bessel_determinant(k, 2 * n).coeff(2 * n)
+    return bessel_determinant(k, 2 * n)[2 * n]
 
 
 @dataclass(frozen=True)
@@ -229,7 +139,7 @@ def gessel_check(k: int, n_max: int) -> GesselCheck:
     det = bessel_determinant(k, 2 * n_max)
     failures = []
     for n in range(n_max + 1):
-        det_side = factorial(n) ** 2 * det.coeff(2 * n)
+        det_side = factorial(n) ** 2 * det[2 * n]
         count_side = avoiders_count(k + 1, 1, n)
         if det_side != count_side:
             failures.append((n, det_side, count_side))

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import mpmath
 
@@ -42,11 +42,19 @@ def conjectured_params(d: int, r: int) -> GrowthParams:
     return GrowthParams(mu=mu, alpha=alpha)
 
 
+def _covering_precision(values: Iterable[int]):
+    """mpmath working precision that covers every bit of the largest of
+    ``values``, plus 84 bits (25 decimal digits) to spare.
+
+    Sized from ``bit_length``: ``str`` of an int above 4300 digits raises.
+    """
+    return mpmath.workprec(max(v.bit_length() for v in values) + 84)
+
+
 def _high_precision_logs(values: Mapping[int, int]) -> dict[int, float]:
     """Logs of arbitrarily large positive ints, computed at a precision that
     covers every digit of the inputs, returned as floats."""
-    digits = max(len(str(v)) for v in values.values())
-    with mpmath.workdps(digits + 25):
+    with _covering_precision(values.values()):
         return {n: float(mpmath.log(v)) for n, v in values.items()}
 
 
@@ -147,9 +155,8 @@ def _normalized_tail(
 ) -> dict[int, float]:
     """c_n = a(n) * n^alpha / mu^n for n = 1..top, through high-precision
     logs so that thousand-digit terms neither overflow nor lose accuracy."""
-    digits = len(str(max(terms)))
     out: dict[int, float] = {}
-    with mpmath.workdps(digits + 25):
+    with _covering_precision(terms):
         log_mu = mpmath.log(params.mu)
         alpha = mpmath.mpf(params.alpha.numerator) / params.alpha.denominator
         for n in range(1, len(terms)):

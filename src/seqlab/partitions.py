@@ -10,21 +10,9 @@ cache keys). All functions here are pure and safe to call concurrently.
 from __future__ import annotations
 
 from math import comb, prod
-from typing import Iterable, Iterator
+from typing import Iterator
 
 Partition = tuple[int, ...]
-
-
-def as_partition(parts: Iterable[int]) -> Partition:
-    """Canonicalize an iterable of row lengths: drop trailing zeros, validate."""
-    p = tuple(int(x) for x in parts)
-    while p and p[-1] == 0:
-        p = p[:-1]
-    if any(x <= 0 for x in p):
-        raise ValueError(f"partition parts must be positive: {parts!r}")
-    if any(p[i] < p[i + 1] for i in range(len(p) - 1)):
-        raise ValueError(f"partition parts must be weakly decreasing: {parts!r}")
-    return p
 
 
 def partitions_upto_length(total: int, max_parts: int) -> Iterator[Partition]:
@@ -51,17 +39,6 @@ def partitions_upto_length(total: int, max_parts: int) -> Iterator[Partition]:
                 yield (part,) + rest
 
     yield from rec(total, total, max_parts)
-
-
-def conjugate(shape: Partition) -> Partition:
-    """Transpose of the Young diagram: column lengths become row lengths."""
-    if not shape:
-        return ()
-    cols = [0] * shape[0]
-    for part in shape:
-        for j in range(part):
-            cols[j] += 1
-    return tuple(cols)
 
 
 def syt_count(shape: Partition) -> int:

@@ -67,6 +67,14 @@ class TestEmpiricalGrowth:
         with pytest.raises(ValueError, match="positive"):
             empirical_growth([1] * 15 + [0])
 
+    def test_terms_above_str_digit_limit(self):
+        # past 4300 digits, int -> str raises unless the limit is lifted
+        terms = [10 ** (4400 + n) for n in range(20)]
+        assert terms[0].bit_length() > 4300 * math.log2(10)
+        mu, alpha = empirical_growth(terms)
+        assert abs(mu - 10) < 1e-6
+        assert abs(alpha) < 1e-6
+
 
 class TestRichardsonExtrapolate:
     def test_recovers_constant_plus_inverse_exactly(self):
@@ -123,6 +131,15 @@ class TestEstimateConstant:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError, match="positive"):
             estimate_constant([0] * 40, GrowthParams(1, Fraction(0)))
+
+    def test_terms_above_str_digit_limit(self):
+        mu = 10**1000
+        terms = [3 * mu**n for n in range(6)]  # the last has 5001 digits
+        assert terms[-1].bit_length() > 4300 * math.log2(10)
+        estimate = estimate_constant(
+            terms, GrowthParams(mu, Fraction(0)), levels=2, stride=2
+        )
+        assert all(abs(v - 3) < 1e-9 for v in estimate.estimates)
 
     def test_report_is_renderable(self):
         terms = avoiders_sequence(3, 1, 60)

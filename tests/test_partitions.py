@@ -1,38 +1,10 @@
 from math import factorial
 
 import pytest
-from hypothesis import given, strategies as st
 
-from seqlab.partitions import (
-    as_partition,
-    conjugate,
-    is_horizontal_strip,
-    partitions_upto_length,
-    syt_count,
-)
+from seqlab.partitions import is_horizontal_strip, partitions_upto_length, syt_count
 
 from helpers import brute_partitions, brute_syt_count, cells_of, hook_length_count
-
-partition_strategy = st.lists(st.integers(1, 8), max_size=6).map(
-    lambda parts: tuple(sorted(parts, reverse=True))
-)
-
-
-class TestAsPartition:
-    def test_strips_trailing_zeros(self):
-        assert as_partition([3, 1, 0, 0]) == (3, 1)
-
-    def test_empty(self):
-        assert as_partition([]) == ()
-        assert as_partition([0, 0]) == ()
-
-    def test_rejects_increase(self):
-        with pytest.raises(ValueError):
-            as_partition([1, 2])
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            as_partition([3, -1])
 
 
 class TestPartitionsUptoLength:
@@ -65,22 +37,6 @@ class TestPartitionsUptoLength:
             list(partitions_upto_length(-1, 2))
 
 
-class TestConjugate:
-    def test_empty(self):
-        assert conjugate(()) == ()
-
-    def test_hook(self):
-        assert conjugate((3, 1)) == (2, 1, 1)
-
-    @given(partition_strategy)
-    def test_involution(self, shape):
-        assert conjugate(conjugate(shape)) == shape
-
-    @given(partition_strategy)
-    def test_transposes_diagram(self, shape):
-        assert cells_of(conjugate(shape)) == {(j, i) for i, j in cells_of(shape)}
-
-
 class TestSytCount:
     @pytest.mark.parametrize("m", [0, 1, 2, 7, 40])
     def test_single_row(self, m):
@@ -109,13 +65,6 @@ class TestSytCount:
         for size in range(13):
             for shape in brute_partitions(size, size):
                 assert syt_count(shape) == hook_length_count(shape), shape
-
-    def test_conjugation_symmetry_and_exact_division(self):
-        for size in range(13):
-            for shape in partitions_upto_length(size, size):
-                # syt_count raises if the row-length formula's division
-                # leaves a remainder
-                assert syt_count(shape) == syt_count(conjugate(shape))
 
 
 class TestIsHorizontalStrip:
