@@ -20,8 +20,10 @@ from .tableaux import avoiders_count
 
 
 def _series_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    """Product of two series, truncated to ``len(a)`` coefficients."""
+    """Product of two series of one truncation, truncated likewise."""
     size = len(a)
+    if len(b) != size:
+        raise ValueError("series truncation mismatch")
     out = [Fraction(0)] * size
     for i, x in enumerate(a):
         if not x:

@@ -38,6 +38,12 @@ def brute_partitions(total: int, max_parts: int) -> set[tuple[int, ...]]:
     return out
 
 
+def conjugate(shape: tuple[int, ...]) -> tuple[int, ...]:
+    """The transposed diagram: column j's length is the number of rows
+    longer than j."""
+    return tuple(sum(1 for row in shape if row > j) for j in range(shape[0] if shape else 0))
+
+
 def brute_syt_count(shape: tuple[int, ...]) -> int:
     """Standard fillings counted by placing 1..size at row ends."""
     size = sum(shape)

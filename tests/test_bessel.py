@@ -30,6 +30,14 @@ def sub(a, b):
     return [x - y for x, y in zip(a, b)]
 
 
+class TestTruncSeries:
+    def test_truncation_mismatch(self):
+        with pytest.raises(ValueError, match="mismatch"):
+            _series_mul(series(2, 1), series(3, 1))
+        with pytest.raises(ValueError, match="mismatch"):
+            _series_mul(series(3, 1), series(2, 1))
+
+
 class TestSeriesMul:
     def test_mul_truncates(self):
         a = series(3, 1, 1)  # 1 + x

@@ -4,7 +4,13 @@ import pytest
 
 from seqlab.partitions import is_horizontal_strip, partitions_upto_length, syt_count
 
-from helpers import brute_partitions, brute_syt_count, cells_of, hook_length_count
+from helpers import (
+    brute_partitions,
+    brute_syt_count,
+    cells_of,
+    conjugate,
+    hook_length_count,
+)
 
 
 class TestPartitionsUptoLength:
@@ -55,6 +61,12 @@ class TestSytCount:
                 syt_count(shape) ** 2 for shape in partitions_upto_length(n, n)
             )
             assert total == factorial(n)
+
+    def test_conjugation_symmetry_and_exact_division(self):
+        for size in range(13):
+            for shape in partitions_upto_length(size, size):
+                # syt_count raises if the hook product fails to divide
+                assert syt_count(shape) == syt_count(conjugate(shape))
 
     def test_matches_hook_length_up_to_six_rows(self):
         for size in range(31):
