@@ -3,8 +3,8 @@
 Three pieces: the exact conjectured growth parameters for the avoider
 counts, an empirical fit of those parameters from data, and Richardson
 extrapolation of the limiting constant. Terms can have thousands of digits,
-so every normalization goes through high-precision logarithms (mpmath) and
-drops to machine floats only at the very end.
+so every normalization goes through mpmath logarithms at a precision sized
+from the terms' magnitude, and drops to machine floats only at the very end.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Mapping, Sequence
+from typing import Any, Sequence
 
 import mpmath
 
@@ -42,58 +42,46 @@ def conjectured_params(d: int, r: int) -> GrowthParams:
     return GrowthParams(mu=mu, alpha=alpha)
 
 
-def _covering_precision(values: Iterable[int]):
-    """mpmath working precision that covers every bit of the largest of
-    ``values``, plus 84 bits (25 decimal digits) to spare.
-
-    Sized from ``bit_length``: ``str`` of an int above 4300 digits raises.
-    """
-    return mpmath.workprec(max(v.bit_length() for v in values) + 84)
-
-
-def _high_precision_logs(values: Mapping[int, int]) -> dict[int, float]:
-    """Logs of arbitrarily large positive ints, computed at a precision that
-    covers every digit of the inputs, returned as floats."""
-    with _covering_precision(values.values()):
-        return {n: float(mpmath.log(v)) for n, v in values.items()}
+def _log_precision(terms: Sequence[int]):
+    """mpmath precision for the logs of ``terms`` and all computed from them:
+    ``|log a| < a.bit_length()`` bounds the integer part of each log, and 84
+    spare bits carry the fraction past a float's 53 and past the Richardson
+    ladder's amplification (about 2^18 at stride 8, level 3)."""
+    return mpmath.workprec(max(t.bit_length() for t in terms).bit_length() + 84)
 
 
-def empirical_growth(
-    terms: Sequence[int], tail_fraction: float = 0.5
-) -> tuple[float, float]:
+def empirical_growth(terms: Sequence[int]) -> tuple[float, float]:
     """Fit log a(n) ~ n*log(mu) - alpha*log(n) + const by least squares and
     return (mu_hat, alpha_hat).
 
-    Only the trailing ``tail_fraction`` of the indices enters the fit, to
-    suppress transients; index 0 never does (log 0). Needs at least 16
-    positive terms.
+    Only the trailing half of the indices enters the fit, to suppress
+    transients; index 0 never does (log 0). Needs at least 16 positive
+    terms.
     """
     terms = list(terms)
     if len(terms) < 16:
         raise InsufficientTermsError(f"need at least 16 terms, got {len(terms)}")
     if any(t <= 0 for t in terms):
         raise ValueError("terms must be positive")
-    if not 0 < tail_fraction <= 1:
-        raise ValueError("tail_fraction must be in (0, 1]")
     top = len(terms) - 1
-    lo = max(1, int(round(top * (1 - tail_fraction))))
-    logs = _high_precision_logs({n: terms[n] for n in range(lo, top + 1)})
-    ns = range(lo, top + 1)
+    ns = range(max(1, round(top / 2)), top + 1)
+    with _log_precision(terms):
+        logs = [float(mpmath.log(terms[n])) for n in ns]
     design = mpmath.matrix([[n, -math.log(n), 1] for n in ns])
-    y = mpmath.matrix([logs[n] for n in ns])
-    solution, _ = mpmath.qr_solve(design, y)
+    solution, _ = mpmath.qr_solve(design, mpmath.matrix(logs))
     log_mu, alpha_hat, _ = solution
     return math.exp(log_mu), float(alpha_hat)
 
 
-def richardson_extrapolate(samples: Sequence[tuple[int, Fraction]]) -> Fraction:
-    """Limit at infinity of a function C + a1/x + ... + ak/x^k, given exact
-    samples at k+1 distinct positive points.
+def richardson_extrapolate(samples: Sequence[tuple[int, Any]]) -> Any:
+    """Limit at infinity of a function C + a1/x + ... + ak/x^k from samples
+    at k+1 distinct positive points: exact on ``Fraction`` samples, at the
+    current mpmath precision on mpf ones.
 
     This is Lagrange evaluation at 1/x = 0; with k+1 points it cancels the
     first k correction terms exactly.
     """
-    total = Fraction(0)
+    total = 0
     for j, (xj, value) in enumerate(samples):
         weight = Fraction(1)
         for l, (xl, _) in enumerate(samples):
@@ -102,7 +90,7 @@ def richardson_extrapolate(samples: Sequence[tuple[int, Fraction]]) -> Fraction:
             if xl == xj:
                 raise ValueError("sample points must be distinct")
             weight *= Fraction(xj, xj - xl)
-        total += weight * Fraction(value)
+        total += weight * value
     return total
 
 
@@ -125,7 +113,10 @@ class ConstantEstimate:
 
     def report(self, max_rows: int | None = None) -> str:
         headers = ["n", "c_n"] + [f"level{k}" for k in range(1, self.levels + 1)]
-        shown = self.rows if max_rows is None else self.rows[-max_rows:]
+        if max_rows is not None and max_rows < 0:
+            raise ValueError(f"row count must be non-negative, got {max_rows}")
+        keep = len(self.rows) if max_rows is None else min(max_rows, len(self.rows))
+        shown = self.rows[len(self.rows) - keep :]
         body = []
         for row in shown:
             cells = [str(row[0])] + [
@@ -150,21 +141,6 @@ class ConstantEstimate:
         return "\n".join(lines)
 
 
-def _normalized_tail(
-    terms: Sequence[int], params: GrowthParams
-) -> dict[int, float]:
-    """c_n = a(n) * n^alpha / mu^n for n = 1..top, through high-precision
-    logs so that thousand-digit terms neither overflow nor lose accuracy."""
-    out: dict[int, float] = {}
-    with _covering_precision(terms):
-        log_mu = mpmath.log(params.mu)
-        alpha = mpmath.mpf(params.alpha.numerator) / params.alpha.denominator
-        for n in range(1, len(terms)):
-            log_c = mpmath.log(terms[n]) + alpha * mpmath.log(n) - n * log_mu
-            out[n] = float(mpmath.exp(log_c))
-    return out
-
-
 def estimate_constant(
     terms: Sequence[int],
     params: GrowthParams,
@@ -177,7 +153,7 @@ def estimate_constant(
     combines c at indices n, n+stride, ..., n+k*stride to cancel the first k
     inverse-power corrections (consecutive-index elimination -- exact terms
     at every index are available, so there is no need for index doubling).
-    The ladder arithmetic itself is exact over rationals on the float inputs.
+    c_n and the ladder stay in mpmath; only ``rows`` and ``estimates`` hold floats.
     """
     terms = list(terms)
     if any(t <= 0 for t in terms):
@@ -190,24 +166,23 @@ def estimate_constant(
             f"need terms up to index {levels * stride + 1} for {levels} "
             f"levels at stride {stride}; got up to {top}"
         )
-    c = _normalized_tail(terms, params)
     rows = []
-    for n in range(1, top + 1):
-        row: list = [n, c[n]]
-        for k in range(1, levels + 1):
-            if n + k * stride <= top:
-                pts = [
-                    (n + j * stride, Fraction(c[n + j * stride]))
-                    for j in range(k + 1)
-                ]
-                row.append(float(richardson_extrapolate(pts)))
-            else:
-                row.append(None)
-        rows.append(tuple(row))
-    estimates = [c[top]]
-    for k in range(1, levels + 1):
-        base = top - k * stride
-        estimates.append(rows[base - 1][1 + k])
+    with _log_precision(terms):
+        log_mu = mpmath.log(params.mu)
+        c = {
+            n: mpmath.exp(mpmath.log(t) + params.alpha * mpmath.log(n) - n * log_mu)
+            for n, t in enumerate(terms[1:], 1)
+        }
+        for n in range(1, top + 1):
+            row: list = [n, float(c[n])]
+            for k in range(1, levels + 1):
+                if n + k * stride <= top:
+                    pts = [(n + j * stride, c[n + j * stride]) for j in range(k + 1)]
+                    row.append(float(richardson_extrapolate(pts)))
+                else:
+                    row.append(None)
+            rows.append(tuple(row))
+    estimates = [rows[top - k * stride - 1][1 + k] for k in range(levels + 1)]
     if not all(math.isfinite(v) for v in estimates):
         raise ArithmeticError("normalization produced non-finite estimates")
     return ConstantEstimate(

@@ -130,6 +130,13 @@ class TestAsym:
         assert "empirical base" in out
         assert "estimates by level" in out
 
+    def test_row_count(self, capsys, cache):
+        args = ["asym", "--d", "3", "--r", "1", "--nmax", "40", "--cache-dir", cache]
+        assert main(args + ["--rows", "0"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 8
+        assert main(args + ["--rows", "-3"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestGessel:
     def test_pass(self, capsys):

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from seqlab.growth import (
@@ -140,6 +141,58 @@ class TestEstimateConstant:
             terms, GrowthParams(mu, Fraction(0)), levels=2, stride=2
         )
         assert all(abs(v - 3) < 1e-9 for v in estimate.estimates)
+
+    def test_ladder_matches_exact_ladder(self):
+        # Reference: c_n to 4x the terms' bit length, then an exact ladder
+        # over Fractions. A ladder fed float c_n is off by up to 6e-12 here.
+        terms = [catalan(n) for n in range(371)]
+        params = conjectured_params(3, 1)
+        estimate = estimate_constant(terms, params, levels=3, stride=8)
+        c = {}
+        with mpmath.workprec(4 * terms[-1].bit_length()):
+            for n in range(1, 371):
+                man, exp = (terms[n] * mpmath.mpf(n) ** 1.5 / 4**n).man_exp
+                c[n] = man * Fraction(2) ** exp
+        checked = 0
+        for row in estimate.rows:
+            n = row[0]
+            for k, got in enumerate(row[1:]):
+                if got is None:
+                    continue
+                pts = [(n + j * 8, c[n + j * 8]) for j in range(k + 1)]
+                exact = richardson_extrapolate(pts)
+                assert abs(Fraction(got) - exact) <= exact * Fraction(1, 10**14), (n, k)
+                checked += 1
+        assert checked == 370 + 362 + 354 + 346
+
+    def test_precision_sized_from_magnitude(self, monkeypatch):
+        # Logs of 25,000-bit terms need the bit length of that bit length
+        # plus spare bits, not a precision covering every bit of the term.
+        mu = 2**1000
+        terms = [3 * mu**n for n in range(26)]
+        assert terms[20].bit_length() >= 20_000
+        precs = []
+        log = mpmath.log
+
+        def recording_log(x):
+            precs.append(mpmath.mp.prec)
+            return log(x)
+
+        monkeypatch.setattr(mpmath, "log", recording_log)
+        mu_hat, _ = empirical_growth(terms)
+        estimate = estimate_constant(terms, GrowthParams(mu, Fraction(0)))
+        assert precs and max(precs) < 128
+        assert abs(mu_hat / mu - 1) < 1e-9
+        assert all(abs(v - 3) < 1e-12 for v in estimate.estimates)
+
+    def test_report_row_counts(self):
+        terms = [catalan(n) for n in range(41)]
+        estimate = estimate_constant(terms, conjectured_params(3, 1), levels=3)
+        assert len(estimate.report(max_rows=0).splitlines()) == 3
+        assert len(estimate.report(max_rows=100).splitlines()) == 40 + 3
+        assert len(estimate.report().splitlines()) == 40 + 3
+        with pytest.raises(ValueError, match="non-negative"):
+            estimate.report(max_rows=-3)
 
     def test_report_is_renderable(self):
         terms = avoiders_sequence(3, 1, 60)
