@@ -9,6 +9,7 @@ reads it at most. All integers are printed as exact decimal strings.
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from .bessel import gessel_check
 from .oeis import OeisError, oeis_lookup
 from .oracle import brute_count, total_words
 from .recurrences import (
+    determined_degree,
     extend,
     format_recurrence,
     guess,
@@ -104,16 +106,30 @@ def cmd_check(args) -> int:
 
 def cmd_guess(args) -> int:
     terms = _cached_or_computed(args, args.nmax, store=False)
-    rec = guess(
-        terms,
-        max_order=args.max_order,
-        max_degree=args.max_degree,
-        holdout=args.holdout,
-    )
+    max_degree = args.max_degree
+    if max_degree is None:
+        max_degree = determined_degree(len(terms), args.holdout)
+    pair_log = logging.getLogger("seqlab.recurrences")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("stats: %(message)s"))
+    saved_level = pair_log.level
+    if args.stats:
+        pair_log.addHandler(handler)
+        pair_log.setLevel(logging.INFO)
+    try:
+        rec = guess(
+            terms,
+            max_order=args.max_order,
+            max_degree=max_degree,
+            holdout=args.holdout,
+        )
+    finally:
+        pair_log.removeHandler(handler)
+        pair_log.setLevel(saved_level)
     if rec is None:
         print(
             f"no recurrence found within order {args.max_order}, degree "
-            f"{args.max_degree} (not a disproof; try more terms or wider bounds)"
+            f"{max_degree} (not a disproof; try more terms or wider bounds)"
         )
         return 1
     text = format_recurrence(rec)
@@ -148,6 +164,8 @@ def cmd_extend(args) -> int:
 
 
 def cmd_asym(args) -> int:
+    if args.rows < 0:
+        raise ValueError(f"row count must be non-negative, got {args.rows}")
     if args.rec:
         rec = parse_recurrence(Path(args.rec).read_text())
         seed = _cached_or_computed(args, max(rec.order + rec.offset, 1) - 1, store=False)
@@ -205,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cache_flags = argparse.ArgumentParser(add_help=False)
     cache_flags.add_argument("--cache-dir", default=None, help="cache directory (default: $SEQLAB_CACHE or ./.seqlab)")
-    cache_flags.add_argument("--stats", action="store_true", help="report DP layers computed on stderr")
+    cache_flags.add_argument("--stats", action="store_true", help="report DP layers computed, and each pair guess tries, on stderr")
 
     fmt_flags = argparse.ArgumentParser(add_help=False)
     fmt_flags.add_argument("--format", choices=FORMATS, default="plain", help="output format (default plain: one value per line)")
@@ -240,8 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--nmax", type=int, required=True)
-    p.add_argument("--max-order", type=int, default=3)
-    p.add_argument("--max-degree", type=int, default=4)
+    p.add_argument("--max-order", type=int, default=4)
+    p.add_argument("--max-degree", type=int, default=None, help="default: every degree whose order-1 system is determined by the terms")
     p.add_argument("--holdout", type=int, default=None, help="terms withheld for validation (default: quarter, min 4)")
     p.add_argument("--out", default=None, help="write the recurrence to this file instead of stdout")
     p.set_defaults(func=cmd_guess)

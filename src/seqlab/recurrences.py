@@ -6,14 +6,25 @@ annihilates a held-out tail it never saw. There is no floating point
 anywhere in this module: elimination is fraction-free over the integers and
 back-substitution runs over exact rationals, so an accepted recurrence is a
 certificate for the supplied terms, not a fit.
+
+Before that exact work, each candidate system is screened modulo the prime
+P = 2^61 - 1. The screen can only reject: the rank over Q is at least the
+rank mod P, so a system of full column rank mod P has no nullspace vector
+and no recurrence. A system that is rank-deficient mod P proves nothing by
+that, and exact elimination and the held-out check still decide it; the
+result of a search is the same with or without the screen.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence
+from time import perf_counter
+from typing import Iterable, Iterator, Sequence
+
+log = logging.getLogger(__name__)
 
 
 class SingularLeadingCoefficientError(ArithmeticError):
@@ -216,7 +227,70 @@ def _nullspace_basis(rows: list[list[int]], ncols: int) -> list[list[int]]:
     return basis
 
 
+# --- modular screen --------------------------------------------------------
+
+# A Mersenne prime just under a machine word. A minor of an integer matrix
+# that is nonzero modulo P is nonzero over the integers, so the rank over Q
+# is at least the rank mod P: full column rank mod P proves the nullspace is
+# empty. A rank deficit mod P proves nothing and goes to exact elimination.
+P = 2**61 - 1
+
+
+def _rank_full_mod_p(rows: Iterable[list[int]], ncols: int) -> bool:
+    """True when ``rows`` reach rank ``ncols`` modulo P, reading rows only
+    until they do.
+
+    Each row is reduced against an echelon basis of unit-pivot rows, each
+    stored from its pivot column on and zero at the pivots of the rows
+    inserted before it, so one pass in insertion order clears every pivot.
+    """
+    basis: list[tuple[int, list[int]]] = []
+    for row in rows:
+        row = [x % P for x in row]
+        for col, tail in basis:
+            f = row[col]
+            if f:
+                row[col:] = [(x - f * y) % P for x, y in zip(row[col:], tail)]
+        lead = next((j for j, x in enumerate(row) if x), None)
+        if lead is None:
+            continue
+        inverse = pow(row[lead], -1, P)
+        basis.append((lead, [x * inverse % P for x in row[lead:]]))
+        if len(basis) == ncols:
+            return True
+    return False
+
+
 # --- guessing --------------------------------------------------------------
+
+
+def _default_holdout(n_terms: int) -> int:
+    return max(4, n_terms // 4)
+
+
+def determined_degree(n_terms: int, holdout: int | None = None) -> int:
+    """Largest degree whose order-1 training system from ``n_terms`` terms
+    is still determined (at least as many windows as unknowns); 0 when no
+    degree is. ``holdout`` defaults as in guess."""
+    if holdout is None:
+        holdout = _default_holdout(n_terms)
+    windows = n_terms - holdout - 1
+    return max(0, windows // 2 - 1)
+
+
+def _window_rows(
+    terms: Sequence[int], order: int, degree: int, windows: int
+) -> Iterator[list[int]]:
+    """Rows of the (order, degree) system: terms[n+i] * n**j for window n,
+    shift i and power j, shift-major."""
+    for n in range(windows):
+        row: list[int] = []
+        for i in range(order + 1):
+            entry = terms[n + i]
+            for _ in range(degree + 1):
+                row.append(entry)
+                entry *= n
+        yield row
 
 
 def guess(
@@ -233,18 +307,21 @@ def guess(
     ``holdout`` terms; a nullspace vector is accepted only if it also
     annihilates every window touching the held-out terms. Pairs with fewer
     training windows than unknowns are skipped -- an underdetermined system
-    always has solutions and proves nothing.
+    always has solutions and proves nothing. A pair whose system has full
+    column rank modulo P has no nullspace vector and is rejected without
+    exact work; the screen never accepts anything.
 
     The whole search box is available when ``len(terms)`` is at least
     (max_order+1)*(max_degree+1) + holdout + max_order. ``holdout`` defaults
     to a quarter of the terms, at least 4. Returns None when nothing within
-    the bounds fits (which says nothing about larger bounds).
+    the bounds fits (which says nothing about larger bounds). Each tried
+    pair is logged at INFO level with its unknowns, seconds and verdict.
     """
     terms = [int(t) for t in terms]
     if max_order < 1 or max_degree < 0:
         raise ValueError("need max_order >= 1 and max_degree >= 0")
     if holdout is None:
-        holdout = max(4, len(terms) // 4)
+        holdout = _default_holdout(len(terms))
     if holdout < 1:
         raise ValueError("holdout must be positive")
     if len(terms) < holdout + 3:
@@ -253,6 +330,7 @@ def guess(
             f"holdout {holdout}); got {len(terms)}"
         )
     train_len = len(terms) - holdout
+    residues = [t % P for t in terms]
     pairs = sorted(
         (
             (order, degree)
@@ -266,26 +344,46 @@ def guess(
         windows = train_len - order
         if windows < unknowns:
             continue
-        rows = []
-        for n in range(windows):
-            row: list[int] = []
-            for i in range(order + 1):
-                entry = terms[n + i]
-                for _ in range(degree + 1):
-                    row.append(entry)
-                    entry *= n
-            rows.append(row)
-        for vec in _nullspace_basis(rows, unknowns):
-            polys = tuple(
-                poly_trim(vec[i * (degree + 1) : (i + 1) * (degree + 1)])
-                for i in range(order + 1)
-            )
-            if not polys[-1]:
-                continue
-            candidate = PRecurrence(polys)
-            if _annihilates_tail(candidate, terms, holdout):
-                return candidate
+        started = perf_counter()
+        if _rank_full_mod_p(_window_rows(residues, order, degree, windows), unknowns):
+            found, verdict = None, "rank-full mod p"
+        else:
+            found, verdict = _judge_exactly(terms, order, degree, windows, holdout)
+        log.info(
+            "guess order %d degree %d: %d unknowns, %.4f s, %s",
+            order,
+            degree,
+            unknowns,
+            perf_counter() - started,
+            verdict,
+        )
+        if found is not None:
+            return found
     return None
+
+
+def _judge_exactly(
+    terms: list[int], order: int, degree: int, windows: int, holdout: int
+) -> tuple[PRecurrence | None, str]:
+    """The first exact nullspace vector of the (order, degree) system that is
+    a recurrence annihilating the held-out tail, with the verdict of the
+    furthest check any vector reached."""
+    rows = list(_window_rows(terms, order, degree, windows))
+    verdict = "no exact nullspace vector"
+    for vec in _nullspace_basis(rows, (order + 1) * (degree + 1)):
+        polys = tuple(
+            poly_trim(vec[i * (degree + 1) : (i + 1) * (degree + 1)])
+            for i in range(order + 1)
+        )
+        if not polys[-1]:
+            if verdict == "no exact nullspace vector":
+                verdict = "zero leading polynomial"
+            continue
+        candidate = PRecurrence(polys)
+        if _annihilates_tail(candidate, terms, holdout):
+            return candidate, "accepted"
+        verdict = "held-out rejected"
+    return None, verdict
 
 
 def _annihilates_tail(rec: PRecurrence, terms: list[int], holdout: int) -> bool:

@@ -1,11 +1,12 @@
 import json
+import re
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
 from seqlab.cli import main
-from seqlab.recurrences import parse_recurrence
+from seqlab.recurrences import parse_recurrence, verify
 from seqlab.storage import cache_load
 from seqlab.tableaux import avoiders_sequence
 
@@ -105,6 +106,39 @@ class TestGuessAndExtend:
                      "--cache-dir", cache]) == 1
         assert "no recurrence found" in capsys.readouterr().out
 
+    def test_stats_reports_each_pair(self, capsys, cache):
+        args = ["guess", "--d", "3", "--r", "1", "--nmax", "29", "--cache-dir", cache]
+        assert main(args + ["--stats"]) == 0
+        pairs = [
+            re.fullmatch(
+                r"stats: guess order (\d+) degree (\d+): (\d+) unknowns, "
+                r"\d+\.\d+ s, (rank-full mod p|no exact nullspace vector|"
+                r"zero leading polynomial|held-out rejected|accepted)",
+                line,
+            )
+            for line in capsys.readouterr().err.splitlines()
+            if "guess order" in line
+        ]
+        assert [m.group(1, 2, 3, 4) for m in pairs] == [
+            ("1", "0", "2", "rank-full mod p"),
+            ("2", "0", "3", "rank-full mod p"),
+            ("1", "1", "4", "accepted"),
+        ]
+        assert main(args) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_default_box_finds_order_four(self, capsys, cache):
+        assert main(["seq", "--d", "4", "--r", "2", "--nmax", "80",
+                     "--cache-dir", cache]) == 0
+        capsys.readouterr()
+        assert main(["guess", "--d", "4", "--r", "2", "--nmax", "80",
+                     "--cache-dir", cache, "--stats"]) == 0
+        out, err = capsys.readouterr()
+        assert "dp layers computed = 0 (cache hit)" in err
+        rec = parse_recurrence(out)
+        assert (rec.order, rec.degree) == (4, 7)
+        assert verify(rec, cache_load(4, 2, cache).terms)
+
     def test_guess_extend_round_trip(self, capsys, tmp_path, cache):
         rec_file = tmp_path / "rec.txt"
         assert main(["guess", "--d", "3", "--r", "1", "--nmax", "29",
@@ -135,7 +169,9 @@ class TestAsym:
         assert main(args + ["--rows", "0"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 8
         assert main(args + ["--rows", "-3"]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ")
 
 
 class TestGessel:

@@ -1,9 +1,12 @@
+import logging
 from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from seqlab import recurrences
 from seqlab.recurrences import (
+    P,
     InsufficientTermsError,
     NonIntegerStepError,
     PRecurrence,
@@ -16,6 +19,9 @@ from seqlab.recurrences import (
     poly_eval,
     poly_trim,
     verify,
+    _nullspace_basis,
+    _rank_full_mod_p,
+    _window_rows,
 )
 from seqlab.tableaux import avoiders_sequence
 
@@ -156,6 +162,85 @@ class TestGuess:
             guess([1] * 20, max_order=0)
         with pytest.raises(ValueError):
             guess([1] * 20, holdout=0)
+
+
+def exact_guess(monkeypatch, terms, *args, **kwargs):
+    """guess with the modular screen switched off: the exact search alone."""
+    with monkeypatch.context() as m:
+        m.setattr(recurrences, "_rank_full_mod_p", lambda rows, ncols: False)
+        return guess(terms, *args, **kwargs)
+
+
+def verdicts(caplog):
+    return [r.getMessage().rsplit(", ", 1)[1] for r in caplog.records]
+
+
+# sum_i c_i(n) a(n+i) = 0 with seeds; each lead is nonzero for n >= 0
+PLANTED = [
+    (CATALAN_REC, [1, 1]),
+    (PRecurrence(((-1, -1), (1,))), [1]),  # factorials
+    (PRecurrence(((3, 3), (5, 2), (-4, -1))), [1, 1]),  # Motzkin numbers
+    (PRecurrence(((1, 3, 3, 1), (-117, -231, -153, -34), (8, 12, 6, 1))), [1, 5]),  # Apery
+    (PRecurrence(((3,), (-1, 2), (1, 1), (-1,))), [1, 2, 3]),
+]
+
+
+class TestModularScreen:
+    @pytest.mark.parametrize("d, r, n_max", [(3, 1, 40), (4, 1, 40), (4, 2, 80)])
+    def test_never_rejects_an_exact_solution(self, d, r, n_max):
+        terms = avoiders_sequence(d, r, n_max)
+        train_len = len(terms) - max(4, len(terms) // 4)
+        residues = [t % P for t in terms]
+        kept = rejected = 0
+        for order in range(1, 5):
+            for degree in range(9):
+                unknowns = (order + 1) * (degree + 1)
+                windows = train_len - order
+                if windows < unknowns:
+                    continue
+                screened = _rank_full_mod_p(
+                    _window_rows(residues, order, degree, windows), unknowns
+                )
+                exact = _nullspace_basis(
+                    list(_window_rows(terms, order, degree, windows)), unknowns
+                )
+                if exact:
+                    assert not screened, (order, degree)
+                    kept += 1
+                rejected += screened
+        assert kept and rejected
+
+    def test_multiples_of_p_leave_the_exact_search_to_decide(self, monkeypatch, caplog):
+        caplog.set_level(logging.INFO, logger="seqlab.recurrences")
+        catalans = [P * catalan(n) for n in range(20)]
+        assert guess(catalans, 2, 2, holdout=4) == CATALAN_REC
+        primes = [P * q for q in PRIMES]
+        assert guess(primes, 2, 2, holdout=4) is None
+        assert guess(primes, 2, 2, holdout=4) == exact_guess(monkeypatch, primes, 2, 2, holdout=4)
+        assert "rank-full mod p" not in verdicts(caplog)
+
+    @pytest.mark.parametrize("box", [(1, 1), (2, 2), (3, 3), (3, 4)])
+    def test_same_answer_as_the_exact_search(self, monkeypatch, box):
+        grid = [extend(rec, seed, 29) for rec, seed in PLANTED]
+        grid += [PRIMES, avoiders_sequence(3, 1, 29), avoiders_sequence(4, 1, 29)]
+        for terms in grid:
+            assert guess(terms, *box) == exact_guess(monkeypatch, terms, *box)
+        assert guess(grid[3], 2, 3) == PLANTED[3][0]
+
+    @pytest.mark.parametrize(
+        "terms, box, verdict",
+        [
+            (PRIMES, (1, 0), "rank-full mod p"),
+            ([1, 1 + P] * 6, (1, 0), "no exact nullspace vector"),
+            ([0] * 7 + [1] + [0] * 4, (1, 0), "zero leading polynomial"),
+            ([1] * 9 + [5, 7, 11], (1, 0), "held-out rejected"),
+            ([catalan(n) for n in range(12)], (1, 1), "accepted"),
+        ],
+    )
+    def test_pair_verdicts_logged(self, caplog, terms, box, verdict):
+        caplog.set_level(logging.INFO, logger="seqlab.recurrences")
+        guess(terms, *box, holdout=4)
+        assert verdicts(caplog)[-1] == verdict
 
 
 class TestTextFormat:
