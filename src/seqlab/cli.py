@@ -35,6 +35,9 @@ from .tableaux import avoiders_count, avoiders_sequence
 
 FORMATS = ("plain", "bfile", "csv")
 
+# --stats lines are INFO records, here and in submodules; main() shows them
+log = logging.getLogger("seqlab")
+
 
 def _emit_terms(terms, fmt: str) -> None:
     if fmt == "bfile":
@@ -48,20 +51,23 @@ def _emit_terms(terms, fmt: str) -> None:
             print(value)
 
 
-def _stats(args, message: str) -> None:
-    if getattr(args, "stats", False):
-        print(f"stats: {message}", file=sys.stderr)
+class _StatsFormatter(logging.Formatter):
+    # warnings, such as the cache's keep-longest notice, keep their bare text
+    def format(self, record: logging.LogRecord) -> str:
+        text = super().format(record)
+        return f"stats: {text}" if record.levelno == logging.INFO else text
 
 
-def _cached_or_computed(args, n_max: int, store: bool) -> list[int]:
-    """Terms 0..n_max for (args.d, args.r), serving warm caches without any
-    DP work and reporting the layer count through --stats."""
+def _cached_or_computed(args, n_max: int, store: bool = False) -> list[int]:
+    """Terms 0..n_max at least for (args.d, args.r): the whole cached record
+    when it covers them, with no DP work, else terms 0..n_max computed from
+    layer 0 (and stored with ``store``). Logs the layer count for --stats."""
     record = cache_load(args.d, args.r, args.cache_dir)
     if record is not None and len(record.terms) > n_max:
-        _stats(args, "dp layers computed = 0 (cache hit)")
-        return list(record.terms[: n_max + 1])
+        log.info("dp layers computed = 0 (cache hit)")
+        return list(record.terms)
     terms = avoiders_sequence(args.d, args.r, n_max)
-    _stats(args, f"dp layers computed = {n_max}")
+    log.info("dp layers computed = %d", n_max)
     if store:
         cache_store(
             SequenceRecord(d=args.d, r=args.r, terms=tuple(terms)), args.cache_dir
@@ -69,8 +75,15 @@ def _cached_or_computed(args, n_max: int, store: bool) -> list[int]:
     return terms
 
 
+def _seed(args, rec) -> list[int]:
+    """Seed for extending with ``rec``: the whole cached record when it holds
+    the recurrence's initial terms, so extension verifies every cached term,
+    otherwise just those initial terms, computed."""
+    return _cached_or_computed(args, max(rec.order + rec.offset, 1) - 1)
+
+
 def cmd_seq(args) -> int:
-    terms = _cached_or_computed(args, args.nmax, store=True)
+    terms = _cached_or_computed(args, args.nmax, store=True)[: args.nmax + 1]
     _emit_terms(terms, args.format)
     return 0
 
@@ -86,46 +99,31 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.d < 2 or args.r < 1 or args.nmax < 0:
+        raise ValueError("need d >= 2, r >= 1 and nmax >= 0")
+    totals = [total_words(args.r, n) for n in range(args.nmax + 1)]
+    # word counts grow with n, so the indices inside the budget are a prefix
+    # and one DP pass gives the formula side of all of them
+    inside = sum(total <= args.budget for total in totals)
+    formulas = avoiders_sequence(args.d, args.r, max(inside - 1, 0))
     failures = 0
-    skipped = 0
-    for n in range(args.nmax + 1):
-        total = total_words(args.r, n)
-        if args.budget is not None and total > args.budget:
-            skipped += 1
-            print(f"n={n}: skipped ({total} words exceed budget {args.budget})")
-            continue
-        formula = avoiders_count(args.d, args.r, n)
+    for n, formula in enumerate(formulas[:inside]):
         oracle = brute_count(args.d, args.r, n, budget=None)
-        ok = formula == oracle
-        failures += not ok
-        print(f"n={n}: formula={formula} oracle={oracle} {'ok' if ok else 'MISMATCH'}")
+        failures += formula != oracle
+        print(f"n={n}: formula={formula} oracle={oracle} {'ok' if formula == oracle else 'MISMATCH'}")
+    for n in range(inside, len(totals)):
+        print(f"n={n}: skipped ({totals[n]} words exceed budget {args.budget})")
     verdict = "PASS" if not failures else "FAIL"
-    print(f"{verdict} (d={args.d}, r={args.r}, n<={args.nmax}, skipped={skipped})")
+    print(f"{verdict} (d={args.d}, r={args.r}, n<={args.nmax}, skipped={len(totals) - inside})")
     return 0 if not failures else 1
 
 
 def cmd_guess(args) -> int:
-    terms = _cached_or_computed(args, args.nmax, store=False)
+    terms = _cached_or_computed(args, args.nmax)[: args.nmax + 1]
     max_degree = args.max_degree
     if max_degree is None:
         max_degree = determined_degree(len(terms), args.holdout)
-    pair_log = logging.getLogger("seqlab.recurrences")
-    handler = logging.StreamHandler(sys.stderr)
-    handler.setFormatter(logging.Formatter("stats: %(message)s"))
-    saved_level = pair_log.level
-    if args.stats:
-        pair_log.addHandler(handler)
-        pair_log.setLevel(logging.INFO)
-    try:
-        rec = guess(
-            terms,
-            max_order=args.max_order,
-            max_degree=max_degree,
-            holdout=args.holdout,
-        )
-    finally:
-        pair_log.removeHandler(handler)
-        pair_log.setLevel(saved_level)
+    rec = guess(terms, max_order=args.max_order, max_degree=max_degree, holdout=args.holdout)
     if rec is None:
         print(
             f"no recurrence found within order {args.max_order}, degree "
@@ -143,12 +141,7 @@ def cmd_guess(args) -> int:
 
 def cmd_extend(args) -> int:
     rec = parse_recurrence(Path(args.rec).read_text())
-    cached = cache_load(args.d, args.r, args.cache_dir)
-    if cached is not None and len(cached.terms) >= rec.order + rec.offset:
-        seed = list(cached.terms)
-    else:
-        seed = avoiders_sequence(args.d, args.r, max(rec.order + rec.offset, 1) - 1)
-    terms = extend(rec, seed, args.nmax)
+    terms = extend(rec, _seed(args, rec), args.nmax)
     if args.store:
         cache_store(
             SequenceRecord(
@@ -164,26 +157,26 @@ def cmd_extend(args) -> int:
 
 
 def cmd_asym(args) -> int:
-    if args.rows < 0:
-        raise ValueError(f"row count must be non-negative, got {args.rows}")
     if args.rec:
         rec = parse_recurrence(Path(args.rec).read_text())
-        seed = _cached_or_computed(args, max(rec.order + rec.offset, 1) - 1, store=False)
-        terms = extend(rec, seed, args.nmax)
+        terms = extend(rec, _seed(args, rec), args.nmax)
     else:
-        terms = _cached_or_computed(args, args.nmax, store=False)
+        terms = _cached_or_computed(args, args.nmax)[: args.nmax + 1]
     params = conjectured_params(args.d, args.r)
-    print(f"terms used: 0..{len(terms) - 1}")
-    print(f"conjectured growth base mu = {params.mu}")
-    print(f"conjectured decay exponent alpha = {params.alpha}")
+    lines = [
+        f"terms used: 0..{len(terms) - 1}",
+        f"conjectured growth base mu = {params.mu}",
+        f"conjectured decay exponent alpha = {params.alpha}",
+    ]
     if len(terms) >= 16:
         mu_hat, alpha_hat = empirical_growth(terms)
-        print(f"empirical base  ~ {mu_hat:.6f}")
-        print(f"empirical decay ~ {alpha_hat:.4f}")
+        lines += [f"empirical base  ~ {mu_hat:.6f}", f"empirical decay ~ {alpha_hat:.4f}"]
     else:
-        print("empirical fit skipped (needs at least 16 terms)")
+        lines.append("empirical fit skipped (needs at least 16 terms)")
     estimate = estimate_constant(terms, params, levels=args.levels, stride=args.stride)
-    print(estimate.report(max_rows=args.rows))
+    # the report checks --rows: every bad argument is caught before any output
+    lines.append(estimate.report(max_rows=args.rows))
+    print("\n".join(lines))
     return 0
 
 
@@ -197,7 +190,7 @@ def cmd_oeis(args) -> int:
     if args.terms:
         terms = [int(tok) for tok in args.terms.replace(",", " ").split()]
     elif args.d is not None and args.r is not None:
-        terms = _cached_or_computed(args, args.nmax, store=False)
+        terms = _cached_or_computed(args, args.nmax)[: args.nmax + 1]
     else:
         raise ValueError("give --terms, or --d/--r/--nmax to compute the query")
     matches = oeis_lookup(terms, mode=args.mode, dump_path=args.dump)
@@ -301,11 +294,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(_StatsFormatter())
+    saved_level = log.level
+    if getattr(args, "stats", False):
+        log.addHandler(handler)
+        log.setLevel(logging.INFO)
     try:
         return args.func(args)
     except (ValueError, ArithmeticError, OSError, CacheError, OeisError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(saved_level)
 
 
 if __name__ == "__main__":

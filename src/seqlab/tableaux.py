@@ -17,7 +17,10 @@ taller shapes can be pruned the moment they appear.
 
 from __future__ import annotations
 
+from collections import deque
+from itertools import accumulate
 from operator import add
+from typing import Iterator
 
 from .partitions import Partition, syt_count
 
@@ -77,24 +80,33 @@ def advance_layer(table: LayerTable, r: int, cap: int) -> LayerTable:
     return dict(sorted(grown.items(), reverse=True))
 
 
+def layer_tables(d: int, r: int, n: int) -> Iterator[LayerTable]:
+    """Layer tables 0..n capped at ``d - 1`` rows, each advanced from the one
+    before only when it is asked for. This is the one place layers are
+    advanced, and its argument check is the one every count shares."""
+    if d < 2:
+        raise ValueError("d must be at least 2")
+    if r < 1 or n < 0:
+        raise ValueError("need r >= 1 and n >= 0")
+    return accumulate(
+        range(n), lambda table, _: advance_layer(table, r, d - 1), initial=initial_layer()
+    )
+
+
 def kostka_uniform(shape: Partition, r: int, n: int) -> int:
     """Number of column-strict fillings of ``shape`` using each letter 1..n
     exactly ``r`` times (the Kostka number with uniform content).
 
     Requires ``sum(shape) == r * n``; zero when no filling exists.
     """
-    if r < 1 or n < 0:
-        raise ValueError("need r >= 1 and n >= 0")
     shape = tuple(shape)
+    # capped at the shape's own k rows, i.e. d = k + 1: no needed shape is pruned
+    tables = layer_tables(max(len(shape), 1) + 1, r, n)
     if sum(shape) != r * n:
         raise ValueError(
             f"shape size {sum(shape)} does not match r*n = {r}*{n} = {r * n}"
         )
-    cap = max(len(shape), 1)
-    table = initial_layer()
-    for _ in range(n):
-        table = advance_layer(table, r, cap)
-    return table.get(shape, 0)
+    return deque(tables, maxlen=1).pop().get(shape, 0)
 
 
 def _weighted_total(table: LayerTable) -> int:
@@ -104,30 +116,12 @@ def _weighted_total(table: LayerTable) -> int:
 
 def avoiders_count(d: int, r: int, n: int) -> int:
     """Number of words with exactly ``r`` copies of each of 1..n containing
-    no strictly increasing subsequence of length ``d``."""
-    if d < 2:
-        raise ValueError("d must be at least 2")
-    if r < 1 or n < 0:
-        raise ValueError("need r >= 1 and n >= 0")
-    table = initial_layer()
-    for _ in range(n):
-        table = advance_layer(table, r, d - 1)
-    return _weighted_total(table)
+    no strictly increasing subsequence of length ``d``. Only the last table
+    is weighted."""
+    return _weighted_total(deque(layer_tables(d, r, n), maxlen=1).pop())
 
 
 def avoiders_sequence(d: int, r: int, n_max: int) -> list[int]:
-    """Terms 0..n_max of the avoider counts, from one incremental run.
-
-    Layer tables are reused across n, so the cost is a single pass rather
-    than n_max independent computations.
-    """
-    if d < 2:
-        raise ValueError("d must be at least 2")
-    if r < 1 or n_max < 0:
-        raise ValueError("need r >= 1 and n_max >= 0")
-    table = initial_layer()
-    out = [1]
-    for _ in range(n_max):
-        table = advance_layer(table, r, d - 1)
-        out.append(_weighted_total(table))
-    return out
+    """Terms 0..n_max of the avoider counts, from one pass over the layer
+    tables, each one weighted."""
+    return [_weighted_total(table) for table in layer_tables(d, r, n_max)]

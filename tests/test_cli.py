@@ -7,7 +7,7 @@ import pytest
 
 from seqlab.cli import main
 from seqlab.recurrences import parse_recurrence, verify
-from seqlab.storage import cache_load
+from seqlab.storage import SequenceRecord, cache_load, cache_store
 from seqlab.tableaux import avoiders_sequence
 
 from helpers import catalan
@@ -89,6 +89,29 @@ class TestCheck:
                      "--budget", "100"]) == 0
         assert "skipped" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("args", [
+        ["--d", "3", "--r", "1", "--nmax", "-1"],
+        ["--d", "1", "--r", "1", "--nmax", "3", "--budget", "0"],
+        ["--d", "3", "--r", "0", "--nmax", "3"],
+    ])
+    def test_bad_input_is_no_pass(self, capsys, args):
+        assert main(["check"] + args) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ")
+
+    def test_one_dp_pass(self, capsys, monkeypatch):
+        import seqlab.tableaux
+
+        calls = []
+        original = seqlab.tableaux.advance_layer
+        monkeypatch.setattr(
+            seqlab.tableaux, "advance_layer", lambda *a: calls.append(a) or original(*a)
+        )
+        assert main(["check", "--d", "5", "--r", "2", "--nmax", "5"]) == 0
+        assert "MISMATCH" not in capsys.readouterr().out
+        assert len(calls) == 5
+
 
 class TestGuessAndExtend:
     def test_guess_prints_recurrence(self, capsys, cache):
@@ -154,6 +177,24 @@ class TestGuessAndExtend:
         assert len(stored.terms) == 41
 
 
+    def test_extend_stats_reports_layers(self, capsys, tmp_path, cache):
+        rec_file = tmp_path / "rec.txt"
+        assert main(["guess", "--d", "3", "--r", "1", "--nmax", "29",
+                     "--out", str(rec_file), "--cache-dir", cache]) == 0
+        capsys.readouterr()
+        extend = ["extend", "--d", "3", "--r", "1", "--rec", str(rec_file),
+                  "--store", "--cache-dir", cache, "--stats", "--nmax"]
+        assert main(extend + ["40"]) == 0
+        assert capsys.readouterr().err == "stats: dp layers computed = 0\n"
+        # a shorter store keeps the longer record, and its notice is no stat
+        assert main(extend + ["20"]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "stats: dp layers computed = 0 (cache hit)",
+            f"keep-longest: {cache}/A_d3_r1.bfile already holds 41 terms; "
+            "not replacing with 21",
+        ]
+
+
 class TestAsym:
     def test_report(self, capsys, cache):
         assert main(["asym", "--d", "3", "--r", "1", "--nmax", "80",
@@ -172,6 +213,26 @@ class TestAsym:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("bad", [["--stride", "0"], ["--levels", "-1"], ["--stride", "-2"]])
+    def test_bad_ladder_prints_nothing(self, capsys, cache, bad):
+        assert main(["asym", "--d", "3", "--r", "1", "--nmax", "40",
+                     "--cache-dir", cache] + bad) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: levels and stride must be positive\n"
+
+    def test_rec_verifies_the_cached_record(self, capsys, tmp_path, cache):
+        # (n + 2) a(n+1) = (4n + 2) a(n): the Catalan numbers
+        rec_file = tmp_path / "rec.txt"
+        rec_file.write_text("ORDER 1 DEGREE 1 OFFSET 0\n-2 -4\n2 1\n")
+        cache_store(SequenceRecord(d=3, r=1, terms=(1, 1, 2, 5, 15)), cache)
+        for command in ("asym", "extend"):
+            assert main([command, "--d", "3", "--r", "1", "--nmax", "40",
+                         "--rec", str(rec_file), "--cache-dir", cache]) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == "error: seed is inconsistent with the recurrence\n"
 
 
 class TestGessel:

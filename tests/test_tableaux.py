@@ -9,6 +9,7 @@ from seqlab.tableaux import (
     avoiders_sequence,
     initial_layer,
     kostka_uniform,
+    layer_tables,
 )
 
 from helpers import brute_ssyt_count, catalan, multiset_total
@@ -62,6 +63,49 @@ class TestAdvanceLayer:
             advance_layer(initial_layer(), 0, 2)
         with pytest.raises(ValueError):
             advance_layer(initial_layer(), 2, 0)
+
+
+class TestLayerTables:
+    def test_tables_are_repeated_advances(self):
+        table = initial_layer()
+        expected = [table]
+        for _ in range(5):
+            table = advance_layer(table, 2, 3)
+            expected.append(table)
+        assert list(layer_tables(4, 2, 5)) == expected
+
+    def test_rejects_bad_args_before_iteration(self):
+        for d, r, n in [(1, 1, 3), (3, 0, 3), (3, 1, -1)]:
+            with pytest.raises(ValueError):
+                layer_tables(d, r, n)
+
+    def test_each_consumer_advances_once_per_letter(self, monkeypatch):
+        import seqlab.tableaux
+
+        calls = []
+        original = seqlab.tableaux.advance_layer
+        monkeypatch.setattr(
+            seqlab.tableaux, "advance_layer", lambda *a: calls.append(a) or original(*a)
+        )
+        for consume, n in [
+            (lambda: avoiders_sequence(4, 2, 7), 7),
+            (lambda: avoiders_count(4, 2, 6), 6),
+            (lambda: kostka_uniform((4, 2), 2, 3), 3),
+        ]:
+            calls.clear()
+            consume()
+            assert len(calls) == n
+
+    def test_count_weights_only_the_last_table(self, monkeypatch):
+        import seqlab.tableaux
+
+        shapes = []
+        original = seqlab.tableaux.syt_count
+        monkeypatch.setattr(
+            seqlab.tableaux, "syt_count", lambda shape: shapes.append(shape) or original(shape)
+        )
+        avoiders_count(4, 2, 6)
+        assert shapes == list(list(layer_tables(4, 2, 6))[-1])
 
 
 class TestKostkaUniform:
