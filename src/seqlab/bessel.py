@@ -97,13 +97,6 @@ def bessel_determinant(k: int, trunc: int) -> list[Fraction]:
     return series_det(matrix)
 
 
-def gessel_coefficient(k: int, n: int) -> Fraction:
-    """Coefficient of x^(2n) in the k x k Bessel determinant, exact."""
-    if k < 1 or n < 0:
-        raise ValueError("need k >= 1 and n >= 0")
-    return bessel_determinant(k, 2 * n)[2 * n]
-
-
 @dataclass(frozen=True)
 class GesselCheck:
     """Outcome of comparing n!^2 times the determinant coefficients against

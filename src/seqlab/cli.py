@@ -18,6 +18,7 @@ from .bessel import gessel_check
 from .oeis import OeisError, oeis_lookup
 from .oracle import brute_count, total_words
 from .recurrences import (
+    DEFAULT_MAX_ORDER,
     determined_degree,
     extend,
     format_recurrence,
@@ -30,6 +31,7 @@ from .storage import (
     SequenceRecord,
     cache_load,
     cache_store,
+    format_bfile,
 )
 from .tableaux import avoiders_count, avoiders_sequence
 
@@ -41,8 +43,7 @@ log = logging.getLogger("seqlab")
 
 def _emit_terms(terms, fmt: str) -> None:
     if fmt == "bfile":
-        for n, value in enumerate(terms):
-            print(f"{n} {value}")
+        print(format_bfile(terms), end="")
     elif fmt == "csv":
         for n, value in enumerate(terms):
             print(f"{n},{value}")
@@ -61,7 +62,11 @@ class _StatsFormatter(logging.Formatter):
 def _cached_or_computed(args, n_max: int, store: bool = False) -> list[int]:
     """Terms 0..n_max at least for (args.d, args.r): the whole cached record
     when it covers them, with no DP work, else terms 0..n_max computed from
-    layer 0 (and stored with ``store``). Logs the layer count for --stats."""
+    layer 0 (and stored with ``store``). Logs the layer count for --stats.
+    Rejects a negative --nmax before reading the cache, so no command's
+    verdict on it depends on what is cached."""
+    if args.nmax < 0:
+        raise ValueError(f"need nmax >= 0, got {args.nmax}")
     record = cache_load(args.d, args.r, args.cache_dir)
     if record is not None and len(record.terms) > n_max:
         log.info("dp layers computed = 0 (cache hit)")
@@ -75,11 +80,13 @@ def _cached_or_computed(args, n_max: int, store: bool = False) -> list[int]:
     return terms
 
 
-def _seed(args, rec) -> list[int]:
-    """Seed for extending with ``rec``: the whole cached record when it holds
-    the recurrence's initial terms, so extension verifies every cached term,
-    otherwise just those initial terms, computed."""
-    return _cached_or_computed(args, max(rec.order + rec.offset, 1) - 1)
+def _extended(args) -> list[int]:
+    """Terms 0..args.nmax by the recurrence file ``args.rec``, seeded with
+    the whole cached record when it holds the recurrence's initial terms, so
+    extension verifies every cached term, otherwise just those, computed."""
+    rec = parse_recurrence(Path(args.rec).read_text())
+    seed = _cached_or_computed(args, max(rec.order + rec.offset, 1) - 1)
+    return extend(rec, seed, args.nmax)
 
 
 def cmd_seq(args) -> int:
@@ -105,7 +112,9 @@ def cmd_check(args) -> int:
     # word counts grow with n, so the indices inside the budget are a prefix
     # and one DP pass gives the formula side of all of them
     inside = sum(total <= args.budget for total in totals)
-    formulas = avoiders_sequence(args.d, args.r, max(inside - 1, 0))
+    if not inside:
+        raise ValueError(f"budget {args.budget} admits no index, so nothing would be checked")
+    formulas = avoiders_sequence(args.d, args.r, inside - 1)
     failures = 0
     for n, formula in enumerate(formulas[:inside]):
         oracle = brute_count(args.d, args.r, n, budget=None)
@@ -120,11 +129,11 @@ def cmd_check(args) -> int:
 
 def cmd_guess(args) -> int:
     terms = _cached_or_computed(args, args.nmax)[: args.nmax + 1]
-    max_degree = args.max_degree
-    if max_degree is None:
-        max_degree = determined_degree(len(terms), args.holdout)
-    rec = guess(terms, max_order=args.max_order, max_degree=max_degree, holdout=args.holdout)
+    rec = guess(terms, args.max_order, args.max_degree, args.holdout)
     if rec is None:
+        max_degree = args.max_degree
+        if max_degree is None:
+            max_degree = determined_degree(len(terms), args.holdout)
         print(
             f"no recurrence found within order {args.max_order}, degree "
             f"{max_degree} (not a disproof; try more terms or wider bounds)"
@@ -140,8 +149,7 @@ def cmd_guess(args) -> int:
 
 
 def cmd_extend(args) -> int:
-    rec = parse_recurrence(Path(args.rec).read_text())
-    terms = extend(rec, _seed(args, rec), args.nmax)
+    terms = _extended(args)
     if args.store:
         cache_store(
             SequenceRecord(
@@ -157,11 +165,7 @@ def cmd_extend(args) -> int:
 
 
 def cmd_asym(args) -> int:
-    if args.rec:
-        rec = parse_recurrence(Path(args.rec).read_text())
-        terms = extend(rec, _seed(args, rec), args.nmax)
-    else:
-        terms = _cached_or_computed(args, args.nmax)[: args.nmax + 1]
+    terms = _extended(args) if args.rec else _cached_or_computed(args, args.nmax)[: args.nmax + 1]
     params = conjectured_params(args.d, args.r)
     lines = [
         f"terms used: 0..{len(terms) - 1}",
@@ -251,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--nmax", type=int, required=True)
-    p.add_argument("--max-order", type=int, default=4)
+    p.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER)
     p.add_argument("--max-degree", type=int, default=None, help="default: every degree whose order-1 system is determined by the terms")
     p.add_argument("--holdout", type=int, default=None, help="terms withheld for validation (default: quarter, min 4)")
     p.add_argument("--out", default=None, help="write the recurrence to this file instead of stdout")

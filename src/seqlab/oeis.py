@@ -1,8 +1,9 @@
 """OEIS lookups: search a local 'stripped'-format dump or the remote API.
 
 Remote requests carry a descriptive agent string and are spaced at least two
-seconds apart. The endpoint can be overridden with the SEQLAB_OEIS_URL
-environment variable (used by the tests to hit a local fixture server).
+seconds apart. The endpoint is the SEQLAB_OEIS_URL environment variable when
+it is set (the tests point it at a local fixture server), else the public
+search page.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ ENV_OEIS_URL = "SEQLAB_OEIS_URL"
 DEFAULT_OEIS_URL = "https://oeis.org/search"
 USER_AGENT = "seqlab/0.1 (exact integer-sequence workbench)"
 MIN_REQUEST_INTERVAL = 2.0
+TIMEOUT = 15.0
 
 _ID_RE = re.compile(r"^A\d{6}$")
 _last_request = 0.0
@@ -60,25 +62,16 @@ class OeisMatch:
             raise ValueError(f"bad OEIS identifier {self.identifier!r}")
 
 
-def _find_run(haystack: Sequence[int], needle: Sequence[int]) -> int:
+def _find_run(haystack: list[int], needle: list[int]) -> int:
     k = len(needle)
-    needle = list(needle)
     for start in range(len(haystack) - k + 1):
-        if list(haystack[start : start + k]) == needle:
+        if haystack[start : start + k] == needle:
             return start
     return -1
 
 
-def lookup_local(terms: Sequence[int], dump_path: str | os.PathLike) -> list[OeisMatch]:
-    """Search a 'stripped'-format dump (lines like ``A000108 ,1,1,2,5,...,``)
-    for the query as a contiguous run of terms.
-
-    The stripped format carries no names, so matches have empty names.
-    Raises FileNotFoundError when the dump is absent.
-    """
-    query = [int(t) for t in terms]
-    if not query:
-        raise ValueError("empty query")
+def _search_local(query: list[int], dump_path: str | os.PathLike) -> list[OeisMatch]:
+    # stripped-format lines look like ``A000108 ,1,1,2,5,...,`` and carry no names
     matches: list[OeisMatch] = []
     with Path(dump_path).open() as handle:
         for line in handle:
@@ -100,21 +93,13 @@ def _respect_rate_limit() -> None:
     _last_request = time.monotonic()
 
 
-def lookup_remote(
-    terms: Sequence[int],
-    base_url: str | None = None,
-    timeout: float = 15.0,
-) -> list[OeisMatch]:
-    """Query the search API and parse its JSON results."""
-    query = [int(t) for t in terms]
-    if not query:
-        raise ValueError("empty query")
-    url = base_url or os.environ.get(ENV_OEIS_URL) or DEFAULT_OEIS_URL
+def _search_remote(query: list[int]) -> list[OeisMatch]:
+    url = os.environ.get(ENV_OEIS_URL) or DEFAULT_OEIS_URL
     _respect_rate_limit()
     params = urlencode({"q": ",".join(str(t) for t in query), "fmt": "json"})
     try:
         request = Request(f"{url}?{params}", headers={"User-Agent": USER_AGENT})
-        with urlopen(request, timeout=timeout) as response:
+        with urlopen(request, timeout=TIMEOUT) as response:
             status = response.status
             raw = response.read().decode("utf-8", errors="replace")
     except HTTPError as exc:
@@ -163,16 +148,18 @@ def oeis_lookup(
     terms: Sequence[int],
     mode: str = "remote",
     dump_path: str | os.PathLike | None = None,
-    base_url: str | None = None,
 ) -> list[OeisMatch]:
-    """Dispatch to the local dump search or the remote API."""
-    terms = [int(t) for t in terms]
-    if not terms:
+    """Sequences holding ``terms`` as a contiguous run: from the
+    'stripped'-format dump at ``dump_path`` in mode 'local' (no names; raises
+    FileNotFoundError when the dump is absent), or from the search API in
+    mode 'remote'."""
+    query = [int(t) for t in terms]
+    if not query:
         raise ValueError("empty query")
     if mode == "local":
         if dump_path is None:
             raise ValueError("local mode needs a dump path")
-        return lookup_local(terms, dump_path)
+        return _search_local(query, dump_path)
     if mode == "remote":
-        return lookup_remote(terms, base_url=base_url)
+        return _search_remote(query)
     raise ValueError(f"unknown mode {mode!r} (use 'local' or 'remote')")

@@ -264,6 +264,10 @@ def _rank_full_mod_p(rows: Iterable[list[int]], ncols: int) -> bool:
 # --- guessing --------------------------------------------------------------
 
 
+# orders the default search box reaches; its degrees come from the terms
+DEFAULT_MAX_ORDER = 4
+
+
 def _default_holdout(n_terms: int) -> int:
     return max(4, n_terms // 4)
 
@@ -295,8 +299,8 @@ def _window_rows(
 
 def guess(
     terms: Sequence[int],
-    max_order: int = 3,
-    max_degree: int = 4,
+    max_order: int = DEFAULT_MAX_ORDER,
+    max_degree: int | None = None,
     holdout: int | None = None,
 ) -> PRecurrence | None:
     """Search for a recurrence annihilating ``terms``.
@@ -313,12 +317,14 @@ def guess(
 
     The whole search box is available when ``len(terms)`` is at least
     (max_order+1)*(max_degree+1) + holdout + max_order. ``holdout`` defaults
-    to a quarter of the terms, at least 4. Returns None when nothing within
-    the bounds fits (which says nothing about larger bounds). Each tried
-    pair is logged at INFO level with its unknowns, seconds and verdict.
+    to a quarter of the terms, at least 4, and ``max_degree`` to every
+    degree whose order-1 system that holdout leaves determined. Returns None
+    when nothing within the bounds fits (which says nothing about larger
+    bounds). Each tried pair is logged at INFO level with its unknowns,
+    seconds and verdict.
     """
     terms = [int(t) for t in terms]
-    if max_order < 1 or max_degree < 0:
+    if max_order < 1 or (max_degree is not None and max_degree < 0):
         raise ValueError("need max_order >= 1 and max_degree >= 0")
     if holdout is None:
         holdout = _default_holdout(len(terms))
@@ -329,6 +335,8 @@ def guess(
             f"need at least {holdout + 3} terms (order 1, degree 0, "
             f"holdout {holdout}); got {len(terms)}"
         )
+    if max_degree is None:
+        max_degree = determined_degree(len(terms), holdout)
     train_len = len(terms) - holdout
     residues = [t % P for t in terms]
     pairs = sorted(

@@ -8,7 +8,6 @@ from seqlab.bessel import (
     bessel_I_2x,
     bessel_determinant,
     gessel_check,
-    gessel_coefficient,
     series_det,
 )
 from seqlab.oracle import brute_count
@@ -131,20 +130,8 @@ class TestSeriesDet:
         det = bessel_determinant(k, 9)
         assert len(det) == 10
         assert all(det[p] == 0 for p in range(1, 10, 2))
-
-
-class TestGesselCoefficient:
-    def test_k1_is_inverse_square_factorial(self):
-        for n in range(6):
-            assert gessel_coefficient(1, n) == Fraction(1, factorial(n) ** 2)
-
-    def test_k2_n3(self):
-        assert gessel_coefficient(2, 3) == Fraction(5, 36)
-        assert factorial(3) ** 2 * gessel_coefficient(2, 3) == catalan(3)
-
-    def test_constant_term(self):
-        for k in range(1, 5):
-            assert gessel_coefficient(k, 0) == 1
+        assert det[0] == 1
+        assert bessel_determinant(k, 0) == [1]
 
 
 class TestGesselCheck:
@@ -152,16 +139,19 @@ class TestGesselCheck:
         result = gessel_check(1, 10)
         assert result.passed
         assert "PASS" in result.report()
+        for n in range(6):
+            assert bessel_determinant(1, 2 * n)[2 * n] == Fraction(1, factorial(n) ** 2)
 
     def test_k2_matches_catalan(self):
         assert gessel_check(2, 10).passed
+        assert bessel_determinant(2, 6)[6] == Fraction(5, 36)
         for n in range(11):
-            assert factorial(n) ** 2 * gessel_coefficient(2, n) == catalan(n)
+            assert factorial(n) ** 2 * bessel_determinant(2, 2 * n)[2 * n] == catalan(n)
 
     def test_k3_spot_value(self):
         result = gessel_check(3, 8)
         assert result.passed
-        n4 = factorial(4) ** 2 * gessel_coefficient(3, 4)
+        n4 = factorial(4) ** 2 * bessel_determinant(3, 8)[8]
         assert n4 == 23 == brute_count(4, 1, 4)
 
     def test_failure_reported(self):

@@ -6,7 +6,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from seqlab.cli import main
-from seqlab.recurrences import parse_recurrence, verify
+from seqlab.recurrences import format_recurrence, guess, parse_recurrence, verify
 from seqlab.storage import SequenceRecord, cache_load, cache_store
 from seqlab.tableaux import avoiders_sequence
 
@@ -59,6 +59,21 @@ class TestSeq:
         main(["seq", "--d", "3", "--r", "1", "--nmax", "10", "--cache-dir", cache])
         assert len(cache_load(3, 1, cache).terms) == 11
 
+    @pytest.mark.parametrize("command", [
+        ["seq"], ["guess"], ["extend", "--rec", "REC"], ["asym"], ["asym", "--rec", "REC"], ["oeis"],
+    ], ids=["seq", "guess", "extend", "asym", "asym-rec", "oeis"])
+    def test_negative_nmax_is_an_error_on_a_warm_cache(self, capsys, tmp_path, cache, command):
+        rec_file = tmp_path / "rec.txt"
+        rec_file.write_text("ORDER 1 DEGREE 1 OFFSET 0\n-2 -4\n2 1\n")
+        key = ["--d", "3", "--r", "1", "--cache-dir", cache]
+        assert main(["seq", "--nmax", "10"] + key) == 0
+        capsys.readouterr()
+        command = [str(rec_file) if arg == "REC" else arg for arg in command]
+        assert main(command + key + ["--nmax", "-1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: need nmax >= 0, got -1\n"
+
 
 class TestCountAndOracle:
     def test_count(self, capsys):
@@ -93,6 +108,8 @@ class TestCheck:
         ["--d", "3", "--r", "1", "--nmax", "-1"],
         ["--d", "1", "--r", "1", "--nmax", "3", "--budget", "0"],
         ["--d", "3", "--r", "0", "--nmax", "3"],
+        ["--d", "3", "--r", "1", "--nmax", "3", "--budget", "0"],
+        ["--d", "3", "--r", "1", "--nmax", "0", "--budget", "-5"],
     ])
     def test_bad_input_is_no_pass(self, capsys, args):
         assert main(["check"] + args) == 1
@@ -161,6 +178,19 @@ class TestGuessAndExtend:
         rec = parse_recurrence(out)
         assert (rec.order, rec.degree) == (4, 7)
         assert verify(rec, cache_load(4, 2, cache).terms)
+
+    @pytest.mark.parametrize("d, r, nmax, order, degree", [
+        (3, 1, 29, 1, 1), (4, 1, 39, 2, 2), (4, 2, 80, 4, 7),
+    ])
+    def test_library_and_cli_share_the_default_box(
+        self, capsys, tmp_path, cache, d, r, nmax, order, degree
+    ):
+        rec = guess(avoiders_sequence(d, r, nmax))
+        assert (rec.order, rec.degree) == (order, degree)
+        rec_file = tmp_path / "rec.txt"
+        assert main(["guess", "--d", str(d), "--r", str(r), "--nmax", str(nmax),
+                     "--out", str(rec_file), "--cache-dir", cache]) == 0
+        assert rec_file.read_text() == format_recurrence(rec)
 
     def test_guess_extend_round_trip(self, capsys, tmp_path, cache):
         rec_file = tmp_path / "rec.txt"

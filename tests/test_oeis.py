@@ -10,8 +10,6 @@ from seqlab.oeis import (
     MalformedResponseError,
     NetworkUnavailableError,
     OeisMatch,
-    lookup_local,
-    lookup_remote,
     oeis_lookup,
 )
 
@@ -52,7 +50,9 @@ class _Responder(BaseHTTPRequestHandler):
 
 
 @pytest.fixture
-def fixture_server():
+def fixture_server(monkeypatch):
+    """Starts a local server answering ``body`` with ``status``, points
+    SEQLAB_OEIS_URL at it and returns its handler class."""
     handlers = {}
 
     def start(body, status=200):
@@ -61,7 +61,9 @@ def fixture_server():
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         handlers["server"] = server
-        return f"http://127.0.0.1:{server.server_address[1]}/search", handler
+        port = server.server_address[1]
+        monkeypatch.setenv("SEQLAB_OEIS_URL", f"http://127.0.0.1:{port}/search")
+        return handler
 
     yield start
     if "server" in handlers:
@@ -79,24 +81,24 @@ class TestOeisMatch:
 
 class TestLocalLookup:
     def test_finds_catalan(self, dump):
-        matches = lookup_local([1, 2, 5, 14, 42], dump)
+        matches = oeis_lookup([1, 2, 5, 14, 42], mode="local", dump_path=dump)
         assert [m.identifier for m in matches] == ["A000108"]
         assert matches[0].offset == 1  # run starts at the second listed term
 
     def test_full_prefix_offset_zero(self, dump):
-        matches = lookup_local([1, 1, 2, 5], dump)
+        matches = oeis_lookup([1, 1, 2, 5], mode="local", dump_path=dump)
         assert ("A000108", 0) in [(m.identifier, m.offset) for m in matches]
 
     def test_multiple_matches(self, dump):
-        matches = lookup_local([1, 1, 2], dump)
+        matches = oeis_lookup([1, 1, 2], mode="local", dump_path=dump)
         assert {m.identifier for m in matches} == {"A000108", "A000142"}
 
     def test_no_match(self, dump):
-        assert lookup_local([9, 9, 9], dump) == []
+        assert oeis_lookup([9, 9, 9], mode="local", dump_path=dump) == []
 
     def test_missing_dump(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            lookup_local([1, 2], tmp_path / "absent")
+            oeis_lookup([1, 2], mode="local", dump_path=tmp_path / "absent")
 
     def test_empty_query_rejected(self, dump):
         with pytest.raises(ValueError):
@@ -116,42 +118,43 @@ class TestRemoteLookup:
                 ]
             }
         ).encode()
-        url, handler = fixture_server(body)
-        matches = lookup_remote([2, 5, 14], base_url=url)
+        fixture_server(body)
+        matches = oeis_lookup([2, 5, 14], mode="remote")
         assert matches == [OeisMatch("A000108", "Catalan numbers", 2)]
 
-    def test_env_var_endpoint(self, fixture_server, monkeypatch):
-        url, _ = fixture_server(json.dumps({"results": []}).encode())
-        monkeypatch.setenv("SEQLAB_OEIS_URL", url)
+    def test_env_var_endpoint(self, fixture_server):
+        handler = fixture_server(json.dumps({"results": []}).encode())
         assert oeis_lookup([1, 2, 3], mode="remote") == []
+        assert handler.last_request.path == "/search?q=1%2C2%2C3&fmt=json"
 
     def test_null_results(self, fixture_server):
-        url, _ = fixture_server(json.dumps({"results": None}).encode())
-        assert lookup_remote([1, 2, 3], base_url=url) == []
+        fixture_server(json.dumps({"results": None}).encode())
+        assert oeis_lookup([1, 2, 3], mode="remote") == []
 
-    def test_network_unavailable(self):
+    def test_network_unavailable(self, monkeypatch):
         # bind-then-close guarantees a refused port
         probe = socket.socket()
         probe.bind(("127.0.0.1", 0))
         port = probe.getsockname()[1]
         probe.close()
+        monkeypatch.setenv("SEQLAB_OEIS_URL", f"http://127.0.0.1:{port}/search")
         with pytest.raises(NetworkUnavailableError):
-            lookup_remote([1, 2, 3], base_url=f"http://127.0.0.1:{port}/search")
+            oeis_lookup([1, 2, 3], mode="remote")
 
     def test_malformed_json_preserves_payload(self, fixture_server):
-        url, _ = fixture_server(b"<html>not json</html>")
+        fixture_server(b"<html>not json</html>")
         with pytest.raises(MalformedResponseError) as excinfo:
-            lookup_remote([1, 2, 3], base_url=url)
+            oeis_lookup([1, 2, 3], mode="remote")
         assert "not json" in excinfo.value.payload
 
     def test_http_error_status(self, fixture_server):
-        url, _ = fixture_server(b"busy", status=503)
+        fixture_server(b"busy", status=503)
         with pytest.raises(MalformedResponseError, match="503"):
-            lookup_remote([1, 2, 3], base_url=url)
+            oeis_lookup([1, 2, 3], mode="remote")
 
     def test_descriptive_user_agent_sent(self, fixture_server):
-        url, handler = fixture_server(json.dumps({"results": []}).encode())
-        lookup_remote([1], base_url=url)
+        handler = fixture_server(json.dumps({"results": []}).encode())
+        oeis_lookup([1], mode="remote")
         assert "seqlab" in handler.last_request.headers["User-Agent"]
 
     def test_unknown_mode(self):
