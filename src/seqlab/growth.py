@@ -3,19 +3,19 @@
 Three pieces: the exact conjectured growth parameters for the avoider
 counts, an empirical fit of those parameters from data, and Richardson
 extrapolation of the limiting constant. Terms can have thousands of digits,
-so every normalization goes through mpmath logarithms at a precision sized
-from the terms' magnitude, and drops to machine floats only at the very end.
+so every normalization goes through the standard library's ``decimal``
+logarithms at a precision sized from the terms' magnitude, and drops to
+machine floats only at the very end.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from math import comb
 from typing import Any, Sequence
-
-import mpmath
 
 from .recurrences import InsufficientTermsError
 
@@ -43,11 +43,13 @@ def conjectured_params(d: int, r: int) -> GrowthParams:
 
 
 def _log_precision(terms: Sequence[int]):
-    """mpmath precision for the logs of ``terms`` and all computed from them:
+    """Decimal context for the logs of ``terms`` and all computed from them:
     ``|log a| < a.bit_length()`` bounds the integer part of each log, and 84
     spare bits carry the fraction past a float's 53 and past the Richardson
-    ladder's amplification (about 2^18 at stride 8, level 3)."""
-    return mpmath.workprec(max(t.bit_length() for t in terms).bit_length() + 84)
+    ladder's amplification (about 2^18 at stride 8, level 3). The bits are
+    carried as the significant digits that cover them."""
+    bits = max(t.bit_length() for t in terms).bit_length() + 84
+    return localcontext(Context(prec=math.ceil(bits * math.log10(2))))
 
 
 def empirical_growth(terms: Sequence[int]) -> tuple[float, float]:
@@ -66,17 +68,23 @@ def empirical_growth(terms: Sequence[int]) -> tuple[float, float]:
     top = len(terms) - 1
     ns = range(max(1, round(top / 2)), top + 1)
     with _log_precision(terms):
-        logs = [float(mpmath.log(terms[n])) for n in ns]
-    design = mpmath.matrix([[n, -math.log(n), 1] for n in ns])
-    solution, _ = mpmath.qr_solve(design, mpmath.matrix(logs))
-    log_mu, alpha_hat, _ = solution
-    return math.exp(log_mu), float(alpha_hat)
+        logs = [float(Decimal(terms[n]).ln()) for n in ns]
+    # normal equations [A^T A | A^T y] of the design rows (n, -log n, 1),
+    # solved exactly by Gauss-Jordan (A^T A is positive definite: no pivoting)
+    rows = [[Fraction(v) for v in (n, -math.log(n), 1, y)] for n, y in zip(ns, logs)]
+    m = [[sum(r[i] * r[j] for r in rows) for j in range(4)] for i in range(3)]
+    for i in range(3):
+        m[i] = [v / m[i][i] for v in m[i]]
+        for k in range(3):
+            if k != i:
+                m[k] = [a - m[k][i] * b for a, b in zip(m[k], m[i])]
+    return math.exp(m[0][3]), float(m[1][3])
 
 
 def richardson_extrapolate(samples: Sequence[tuple[int, Any]]) -> Any:
     """Limit at infinity of a function C + a1/x + ... + ak/x^k from samples
-    at k+1 distinct positive points: exact on ``Fraction`` samples, at the
-    current mpmath precision on mpf ones.
+    at k+1 distinct positive points: exact on ``Fraction`` samples, rounded
+    at the current ``decimal`` context on ``Decimal`` ones.
 
     This is Lagrange evaluation at 1/x = 0; with k+1 points it cancels the
     first k correction terms exactly.
@@ -90,7 +98,7 @@ def richardson_extrapolate(samples: Sequence[tuple[int, Any]]) -> Any:
             if xl == xj:
                 raise ValueError("sample points must be distinct")
             weight *= Fraction(xj, xj - xl)
-        total += weight * value
+        total += value * weight.numerator / weight.denominator
     return total
 
 
@@ -153,7 +161,8 @@ def estimate_constant(
     combines c at indices n, n+stride, ..., n+k*stride to cancel the first k
     inverse-power corrections (consecutive-index elimination -- exact terms
     at every index are available, so there is no need for index doubling).
-    c_n and the ladder stay in mpmath; only ``rows`` and ``estimates`` hold floats.
+    c_n and the ladder stay in ``Decimal`` at the precision sized from the
+    terms; only ``rows`` and ``estimates`` hold floats.
     """
     terms = list(terms)
     if any(t <= 0 for t in terms):
@@ -168,9 +177,10 @@ def estimate_constant(
         )
     rows = []
     with _log_precision(terms):
-        log_mu = mpmath.log(params.mu)
+        log_mu = Decimal(params.mu).ln()
+        alpha = Decimal(params.alpha.numerator) / params.alpha.denominator
         c = {
-            n: mpmath.exp(mpmath.log(t) + params.alpha * mpmath.log(n) - n * log_mu)
+            n: (Decimal(t).ln() + alpha * Decimal(n).ln() - n * log_mu).exp()
             for n, t in enumerate(terms[1:], 1)
         }
         for n in range(1, top + 1):

@@ -299,7 +299,9 @@ class TestOeisCommand:
                 pass
 
         server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        threading.Thread(target=server.serve_forever, daemon=True).start()
+        threading.Thread(
+            target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+        ).start()
         try:
             import seqlab.oeis as oeis_mod
 
@@ -312,6 +314,7 @@ class TestOeisCommand:
             assert "A000108" in capsys.readouterr().out
         finally:
             server.shutdown()
+            server.server_close()
 
     def test_remote_unreachable_exits_one(self, capsys, monkeypatch):
         import socket

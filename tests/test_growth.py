@@ -1,9 +1,10 @@
+import decimal
 import math
 from fractions import Fraction
 
-import mpmath
 import pytest
 
+import seqlab.growth
 from seqlab.growth import (
     GrowthParams,
     conjectured_params,
@@ -76,6 +77,13 @@ class TestEmpiricalGrowth:
         assert abs(mu - 10) < 1e-6
         assert abs(alpha) < 1e-6
 
+    def test_power_law_factor(self):
+        # a(n) = 54^n n^4 is exactly the model with alpha = -4
+        terms = [1] + [54**n * n**4 for n in range(1, 60)]
+        mu, alpha = empirical_growth(terms)
+        assert abs(mu - 54) < 1e-9
+        assert abs(alpha + 4) < 1e-9
+
 
 class TestRichardsonExtrapolate:
     def test_recovers_constant_plus_inverse_exactly(self):
@@ -143,16 +151,17 @@ class TestEstimateConstant:
         assert all(abs(v - 3) < 1e-9 for v in estimate.estimates)
 
     def test_ladder_matches_exact_ladder(self):
-        # Reference: c_n to 4x the terms' bit length, then an exact ladder
-        # over Fractions. A ladder fed float c_n is off by up to 6e-12 here.
+        # Reference: c_n = a(n) n^1.5 / 4^n to K bits by integer square
+        # root, then an exact ladder over Fractions. A ladder fed float c_n
+        # is off by up to 6e-12 here.
         terms = [catalan(n) for n in range(371)]
         params = conjectured_params(3, 1)
         estimate = estimate_constant(terms, params, levels=3, stride=8)
-        c = {}
-        with mpmath.workprec(4 * terms[-1].bit_length()):
-            for n in range(1, 371):
-                man, exp = (terms[n] * mpmath.mpf(n) ** 1.5 / 4**n).man_exp
-                c[n] = man * Fraction(2) ** exp
+        K = 256
+        c = {
+            n: Fraction(math.isqrt(terms[n] ** 2 * n**3 << 2 * K), 4**n << K)
+            for n in range(1, 371)
+        }
         checked = 0
         for row in estimate.rows:
             n = row[0]
@@ -172,16 +181,16 @@ class TestEstimateConstant:
         terms = [3 * mu**n for n in range(26)]
         assert terms[20].bit_length() >= 20_000
         precs = []
-        log = mpmath.log
 
-        def recording_log(x):
-            precs.append(mpmath.mp.prec)
-            return log(x)
+        class RecordingDecimal(decimal.Decimal):
+            def ln(self, context=None):
+                precs.append(decimal.getcontext().prec)
+                return super().ln(context)
 
-        monkeypatch.setattr(mpmath, "log", recording_log)
+        monkeypatch.setattr(seqlab.growth, "Decimal", RecordingDecimal)
         mu_hat, _ = empirical_growth(terms)
         estimate = estimate_constant(terms, GrowthParams(mu, Fraction(0)))
-        assert precs and max(precs) < 128
+        assert precs and max(precs) < 39  # 39 digits would carry 128 bits
         assert abs(mu_hat / mu - 1) < 1e-9
         assert all(abs(v - 3) < 1e-12 for v in estimate.estimates)
 

@@ -58,7 +58,9 @@ def fixture_server(monkeypatch):
     def start(body, status=200):
         handler = type("Handler", (_Responder,), {"status": status, "body": body})
         server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread = threading.Thread(
+            target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+        )
         thread.start()
         handlers["server"] = server
         port = server.server_address[1]
@@ -68,6 +70,7 @@ def fixture_server(monkeypatch):
     yield start
     if "server" in handlers:
         handlers["server"].shutdown()
+        handlers["server"].server_close()
 
 
 class TestOeisMatch:
