@@ -52,6 +52,12 @@ def _log_precision(terms: Sequence[int]):
     return localcontext(Context(prec=math.ceil(bits * math.log10(2))))
 
 
+def _scaled(x: float | int) -> int:
+    """``x * 2**1074``, exactly."""
+    num, den = x.as_integer_ratio()
+    return num << 1075 - den.bit_length()
+
+
 def empirical_growth(terms: Sequence[int]) -> tuple[float, float]:
     """Fit log a(n) ~ n*log(mu) - alpha*log(n) + const by least squares and
     return (mu_hat, alpha_hat).
@@ -70,9 +76,11 @@ def empirical_growth(terms: Sequence[int]) -> tuple[float, float]:
     with _log_precision(terms):
         logs = [float(Decimal(terms[n]).ln()) for n in ns]
     # normal equations [A^T A | A^T y] of the design rows (n, -log n, 1),
-    # solved exactly by Gauss-Jordan (A^T A is positive definite: no pivoting)
-    rows = [[Fraction(v) for v in (n, -math.log(n), 1, y)] for n, y in zip(ns, logs)]
-    m = [[sum(r[i] * r[j] for r in rows) for j in range(4)] for i in range(3)]
+    # solved exactly by Gauss-Jordan (A^T A is positive definite: no pivoting).
+    # Every float is a multiple of 2^-1074, so the rows scaled by 2^1074 are
+    # exact ints; the sums stay ints and the common scale cancels in the solve.
+    rows = [[_scaled(v) for v in (n, -math.log(n), 1, y)] for n, y in zip(ns, logs)]
+    m = [[Fraction(sum(r[i] * r[j] for r in rows)) for j in range(4)] for i in range(3)]
     for i in range(3):
         m[i] = [v / m[i][i] for v in m[i]]
         for k in range(3):

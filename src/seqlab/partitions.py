@@ -54,9 +54,10 @@ def syt_count(shape: Partition) -> int:
     and ``k`` binomials, against one big multiplication per cell for the hook
     product.
 
-    Exact for any size; ``syt_count(()) == 1``. The final division is checked
-    to be exact (it always is for a valid partition; a remainder means the
-    input was corrupt).
+    Exact for any size; ``syt_count(()) == 1``. Parts that increase or are
+    negative raise ``ValueError``. The final division is checked to be exact
+    (it always is for a valid partition; a remainder means the input was
+    corrupt).
     """
     k = len(shape)
     lengths = [part + k - 1 - i for i, part in enumerate(shape)]
@@ -66,6 +67,8 @@ def syt_count(shape: Partition) -> int:
         total += li
         numerator *= comb(total, li)
         for lj in lengths[i + 1 :]:
+            if lj >= li:
+                raise ValueError(f"{shape} is not a partition")
             numerator *= li - lj
     denominator = prod(range(sum(shape) + 1, total + 1))
     count, remainder = divmod(numerator, denominator)

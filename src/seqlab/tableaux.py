@@ -4,7 +4,9 @@ The central object is a layer table: a map from shapes with r*i cells to the
 number of column-strict fillings that use each of the letters 1..i exactly r
 times. Advancing a layer introduces the next letter, which occupies a
 horizontal strip of r cells. The terminal table therefore holds Kostka
-numbers with uniform content.
+numbers with uniform content. A table keys each shape by one int, its rows
+packed into fixed-width bit fields (see ``pack``), so growing a shape by a
+strip is one integer addition.
 
 Counting words: a word over {1..n} with r copies of each letter has no
 strictly increasing subsequence of length d exactly when the insertion shape
@@ -19,17 +21,46 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import accumulate
-from operator import add
 from typing import Iterator
 
 from .partitions import Partition, syt_count
 
-LayerTable = dict[Partition, int]
+# shape key (see ``pack``) -> number of fillings
+LayerTable = dict[int, int]
+
+
+def field_width(r: int, n: int) -> int:
+    """Bits per row in the shape keys of layers 0..n: enough for the
+    longest row any of them can have, ``r * n`` cells."""
+    return max(1, (r * n).bit_length())
+
+
+def pack(shape: Partition, cap: int, width: int) -> int:
+    """The key of ``shape``: ``cap`` fields of ``width`` bits, row 0 in the
+    most significant field and a zero field for every missing row.
+    Descending key order is reverse-lexicographic order on shapes, and
+    adding the key of a strip's row-by-row cell counts to a shape's key
+    gives the key of the grown shape."""
+    key = 0
+    for part in shape:
+        key = key << width | part
+    return key << width * (cap - len(shape))
+
+
+def unpack(key: int, cap: int, width: int) -> Partition:
+    """The partition whose key is ``key`` (the inverse of ``pack``)."""
+    rows = []
+    shift = width * (cap - 1)
+    while key:  # until only empty rows are left
+        rows.append(key >> shift)
+        key &= (1 << shift) - 1
+        shift -= width
+    return tuple(rows)
 
 
 def initial_layer() -> LayerTable:
     """Layer 0: one empty filling of the empty shape."""
-    return {(): 1}
+    return {0: 1}
 
 
 def _strip_additions(room: tuple[int, ...], r: int) -> list[tuple[int, ...]]:
@@ -42,54 +73,77 @@ def _strip_additions(room: tuple[int, ...], r: int) -> list[tuple[int, ...]]:
         additions = [
             a + (k,)
             for a in additions
-            for k in range(min(top, r - sum(a)) + 1)
-            if r - sum(a) - k <= below
+            for k in range(max(0, r - sum(a) - below), min(top, r - sum(a)) + 1)
         ]
     return additions
 
 
-def advance_layer(table: LayerTable, r: int, cap: int) -> LayerTable:
+def advance_layer(table: LayerTable, r: int, cap: int, width: int) -> LayerTable:
     """One more letter: redistribute every shape's count over its
     horizontal-strip extensions by ``r`` cells, pruning shapes taller than
-    ``cap`` rows.
+    ``cap`` rows. Keys are ``pack``-ed with ``cap`` fields of ``width`` bits.
 
-    A shape with fewer than ``cap`` rows gets one zero row, where the strip
-    may open a new row. Row 0 may grow by any amount and row i by at most
-    the old gap ``shape[i-1] - shape[i]`` (the strip condition). The strip
-    additions depend only on those gaps capped at ``r``, so they are built
-    once per distinct gap signature and shared by every shape that has it.
+    Row 0 may grow by any amount and row i by at most the gap ``shape[i-1]
+    - shape[i]`` (the strip condition); a zero row under a nonempty one is
+    where the strip may open a new row, and rows past ``cap`` do not exist.
+    The strip additions depend only on those gaps capped at ``r``, so they
+    are built once per distinct capped signature, as packed deltas, and each
+    (shape, strip) pair is one integer addition.
 
-    Keys of the result are in reverse-lexicographic order, and the result is
-    independent of iteration schedule (pure accumulation per target shape).
+    Keys of the result are in descending order (reverse-lexicographic on
+    shapes), and the result is independent of iteration schedule (pure
+    accumulation per target shape). A row that outgrows its field raises
+    ``ValueError``.
     """
-    if r < 1 or cap < 1:
-        raise ValueError("r and cap must be positive")
-    additions: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    if r < 1 or cap < 1 or width < 1:
+        raise ValueError("r, cap and width must be positive")
+    mask = (1 << width) - 1
+    shifts = range(width * (cap - 1), -1, -width)
+    below_top = (1 << width * (cap - 1)) - 1
+    deltas: dict[tuple[int, ...], list[int]] = {}
     grown: LayerTable = {}
-    for shape, count in table.items():
-        p = shape + (0,) if len(shape) < cap else shape
-        room = (r,) + tuple(min(r, a - b) for a, b in zip(p, p[1:]))
-        strips = additions.get(room)
+    get = grown.get
+    for key, count in table.items():
+        # the shape moved down one row, less its rows 1..cap-1, holds the gap
+        # shape[i-1] - shape[i] in field i (gaps are never negative: no
+        # borrows); they are read from the bottom row up to the last nonzero
+        gaps = (key >> width) - (key & below_top)
+        signature = []
+        while gaps:
+            gap = gaps & mask
+            signature.append(gap if gap < r else r)
+            gaps >>= width
+        signature = tuple(signature)
+        strips = deltas.get(signature)
         if strips is None:
-            strips = additions[room] = _strip_additions(room, r)
-        for a in strips:
-            target = tuple(map(add, p, a))
-            if not target[-1]:
-                target = target[:-1]
-            grown[target] = grown.get(target, 0) + count
-    return dict(sorted(grown.items(), reverse=True))
+            room = (r, *reversed(signature + (0,) * (cap - 1 - len(signature))))
+            strips = deltas[signature] = [
+                sum(k << s for k, s in zip(a, shifts)) for a in _strip_additions(room, r)
+            ]
+        for delta in strips:
+            target = key + delta
+            grown[target] = get(target, 0) + count
+    items = sorted(grown.items(), reverse=True)
+    # rows never exceed row 0, so only row 0 can overflow, past the top field
+    if items and items[0][0] >> width * cap:
+        raise ValueError(f"row 0 outgrows its {width}-bit field")
+    return dict(items)
 
 
 def layer_tables(d: int, r: int, n: int) -> Iterator[LayerTable]:
-    """Layer tables 0..n capped at ``d - 1`` rows, each advanced from the one
-    before only when it is asked for. This is the one place layers are
+    """Layer tables 0..n capped at ``d - 1`` rows, keyed by ``pack`` with
+    ``d - 1`` fields of ``field_width(r, n)`` bits, each advanced from the
+    one before only when it is asked for. This is the one place layers are
     advanced, and its argument check is the one every count shares."""
     if d < 2:
         raise ValueError("d must be at least 2")
     if r < 1 or n < 0:
         raise ValueError("need r >= 1 and n >= 0")
+    width = field_width(r, n)
     return accumulate(
-        range(n), lambda table, _: advance_layer(table, r, d - 1), initial=initial_layer()
+        range(n),
+        lambda table, _: advance_layer(table, r, d - 1, width),
+        initial=initial_layer(),
     )
 
 
@@ -97,31 +151,39 @@ def kostka_uniform(shape: Partition, r: int, n: int) -> int:
     """Number of column-strict fillings of ``shape`` using each letter 1..n
     exactly ``r`` times (the Kostka number with uniform content).
 
-    Requires ``sum(shape) == r * n``; zero when no filling exists.
+    Requires a partition (weakly decreasing positive parts, no trailing
+    zero) with ``sum(shape) == r * n``; zero when no filling exists.
     """
     shape = tuple(shape)
     # capped at the shape's own k rows, i.e. d = k + 1: no needed shape is pruned
-    tables = layer_tables(max(len(shape), 1) + 1, r, n)
+    cap = max(len(shape), 1)
+    tables = layer_tables(cap + 1, r, n)
+    # weakly decreasing, and the sentinel 1 makes the last part positive
+    if not all(a >= b > 0 for a, b in zip(shape, shape[1:] + (1,))):
+        raise ValueError(f"{shape} is not a partition")
     if sum(shape) != r * n:
         raise ValueError(
             f"shape size {sum(shape)} does not match r*n = {r}*{n} = {r * n}"
         )
-    return deque(tables, maxlen=1).pop().get(shape, 0)
+    key = pack(shape, cap, field_width(r, n))
+    return deque(tables, maxlen=1).pop().get(key, 0)
 
 
-def _weighted_total(table: LayerTable) -> int:
+def _weighted_total(table: LayerTable, cap: int, width: int) -> int:
     # pair each shape's column-strict count with its standard-filling count
-    return sum(syt_count(shape) * count for shape, count in table.items())
+    return sum(syt_count(unpack(key, cap, width)) * count for key, count in table.items())
 
 
 def avoiders_count(d: int, r: int, n: int) -> int:
     """Number of words with exactly ``r`` copies of each of 1..n containing
     no strictly increasing subsequence of length ``d``. Only the last table
     is weighted."""
-    return _weighted_total(deque(layer_tables(d, r, n), maxlen=1).pop())
+    last = deque(layer_tables(d, r, n), maxlen=1).pop()
+    return _weighted_total(last, d - 1, field_width(r, n))
 
 
 def avoiders_sequence(d: int, r: int, n_max: int) -> list[int]:
     """Terms 0..n_max of the avoider counts, from one pass over the layer
     tables, each one weighted."""
-    return [_weighted_total(table) for table in layer_tables(d, r, n_max)]
+    width = field_width(r, n_max)
+    return [_weighted_total(table, d - 1, width) for table in layer_tables(d, r, n_max)]

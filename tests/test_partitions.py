@@ -78,6 +78,12 @@ class TestSytCount:
             for shape in brute_partitions(size, size):
                 assert syt_count(shape) == hook_length_count(shape), shape
 
+    def test_rejects_non_partitions(self):
+        # unchecked, the row-length formula gives syt_count((2, 4)) == -5
+        for shape in [(2, 4), (1, 2), (3, 3, 4), (5, 1, 2), (3, -1), (-1,)]:
+            with pytest.raises(ValueError):
+                syt_count(shape)
+
 
 class TestIsHorizontalStrip:
     def test_examples(self):

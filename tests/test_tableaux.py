@@ -1,4 +1,6 @@
-from math import factorial
+from collections import deque
+from math import comb, factorial
+from pathlib import Path
 
 import pytest
 
@@ -7,34 +9,72 @@ from seqlab.tableaux import (
     advance_layer,
     avoiders_count,
     avoiders_sequence,
+    field_width,
     initial_layer,
     kostka_uniform,
     layer_tables,
+    pack,
+    unpack,
 )
 
 from helpers import brute_ssyt_count, catalan, multiset_total
 
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "data"
+W = 8  # field width of the tables built by hand below
+
+
+def decoded(table, cap, width=W):
+    """A layer table with its keys decoded to partitions, in table order."""
+    return {unpack(key, cap, width): count for key, count in table.items()}
+
+
+class TestPackedKeys:
+    @pytest.mark.parametrize("cap", [1, 2, 3, 4])
+    def test_round_trip_and_order(self, cap):
+        for total in range(13):
+            expected = list(partitions_upto_length(total, cap))
+            keys = [pack(shape, cap, 4) for shape in expected]
+            assert [unpack(key, cap, 4) for key in keys] == expected
+            # descending keys are reverse-lexicographic shapes
+            assert keys == sorted(keys, reverse=True)
+
+    def test_layout(self):
+        # row 0 in the top field, an empty row is a zero field
+        assert pack((5, 3), 3, 4) == 5 << 8 | 3 << 4
+        assert pack((), 3, 4) == 0
+        assert unpack(5 << 8 | 3 << 4, 3, 4) == (5, 3)
+
+    def test_strip_is_one_addition(self):
+        assert pack((4, 2, 1), 3, W) == pack((3, 2), 3, W) + pack((1, 0, 1), 3, W)
+
+    def test_width_covers_the_longest_row(self):
+        assert [field_width(r, n) for r, n in [(1, 0), (1, 1), (2, 2), (1, 8), (5, 51)]] == [
+            1, 1, 3, 4, 8
+        ]
+
 
 class TestAdvanceLayer:
     def test_from_empty(self):
-        assert advance_layer(initial_layer(), 2, 2) == {(2,): 1}
+        assert decoded(advance_layer(initial_layer(), 2, 2, W), 2) == {(2,): 1}
 
     def test_from_single_row(self):
-        assert advance_layer({(2,): 1}, 2, 2) == {(4,): 1, (3, 1): 1, (2, 2): 1}
+        table = advance_layer({pack((2,), 2, W): 1}, 2, 2, W)
+        assert decoded(table, 2) == {(4,): 1, (3, 1): 1, (2, 2): 1}
 
     def test_keys_reverse_lexicographic(self):
         table = initial_layer()
         for _ in range(5):
-            table = advance_layer(table, 2, 3)
-            keys = list(table)
+            table = advance_layer(table, 2, 3, W)
+            keys = list(decoded(table, 3))
             assert keys == sorted(keys, reverse=True)
+            assert list(table) == sorted(table, reverse=True)
 
     def test_r1_layers_reproduce_standard_counts(self):
         # with one cell per letter, the terminal count is the standard count
         table = initial_layer()
         for n in range(1, 9):
-            table = advance_layer(table, 1, 3)
-            for shape, value in table.items():
+            table = advance_layer(table, 1, 3, W)
+            for shape, value in decoded(table, 3).items():
                 assert value == syt_count(shape), (n, shape)
 
     @pytest.mark.parametrize("r", [1, 2, 3, 4])
@@ -42,7 +82,7 @@ class TestAdvanceLayer:
     def test_matches_strip_filter(self, r, cap):
         # every candidate shape one letter up, kept if it is a horizontal
         # strip over some shape of the layer below
-        expected = initial_layer()
+        expected = {(): 1}
         table = initial_layer()
         for n in range(1, 7):
             below = expected
@@ -55,24 +95,38 @@ class TestAdvanceLayer:
                 )
                 if total:
                     expected[outer] = total
-            table = advance_layer(table, r, cap)
-            assert list(table.items()) == list(expected.items()), (r, cap, n)
+            table = advance_layer(table, r, cap, W)
+            assert list(decoded(table, cap).items()) == list(expected.items()), (r, cap, n)
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
-            advance_layer(initial_layer(), 0, 2)
+            advance_layer(initial_layer(), 0, 2, W)
         with pytest.raises(ValueError):
-            advance_layer(initial_layer(), 2, 0)
+            advance_layer(initial_layer(), 2, 0, W)
+        with pytest.raises(ValueError):
+            advance_layer(initial_layer(), 2, 2, 0)
+
+    def test_row_outgrowing_its_field(self):
+        # a 2-bit field holds rows of up to 3 cells
+        assert decoded(advance_layer({pack((2,), 2, 2): 1}, 1, 2, 2), 2, 2) == {
+            (3,): 1,
+            (2, 1): 1,
+        }
+        with pytest.raises(ValueError, match="2-bit"):
+            advance_layer({pack((3,), 2, 2): 1}, 1, 2, 2)
 
 
 class TestLayerTables:
     def test_tables_are_repeated_advances(self):
+        width = field_width(2, 5)
         table = initial_layer()
         expected = [table]
         for _ in range(5):
-            table = advance_layer(table, 2, 3)
+            table = advance_layer(table, 2, 3, width)
             expected.append(table)
-        assert list(layer_tables(4, 2, 5)) == expected
+        assert [decoded(t, 3, width) for t in layer_tables(4, 2, 5)] == [
+            decoded(t, 3, width) for t in expected
+        ]
 
     def test_rejects_bad_args_before_iteration(self):
         for d, r, n in [(1, 1, 3), (3, 0, 3), (3, 1, -1)]:
@@ -105,7 +159,8 @@ class TestLayerTables:
             seqlab.tableaux, "syt_count", lambda shape: shapes.append(shape) or original(shape)
         )
         avoiders_count(4, 2, 6)
-        assert shapes == list(list(layer_tables(4, 2, 6))[-1])
+        last = list(layer_tables(4, 2, 6))[-1]
+        assert shapes == [unpack(key, 3, field_width(2, 6)) for key in last]
 
 
 class TestKostkaUniform:
@@ -125,6 +180,14 @@ class TestKostkaUniform:
 
     def test_empty_shape(self):
         assert kostka_uniform((), 2, 0) == 1
+
+    @pytest.mark.parametrize(
+        "shape, r, n",
+        [((4, 2, 0), 2, 3), ((7, -1), 2, 3), ((2, 4), 2, 3), ((0,), 2, 0), ((3, 3, 4, 2), 3, 4)],
+    )
+    def test_rejects_non_partitions(self, shape, r, n):
+        with pytest.raises(ValueError, match="not a partition"):
+            kostka_uniform(shape, r, n)
 
     @pytest.mark.parametrize("r,n", [(1, 4), (1, 5), (2, 2), (2, 3), (3, 2), (4, 2)])
     def test_against_direct_enumeration(self, r, n):
@@ -206,3 +269,31 @@ class TestAvoidersSequence:
         for d, r in [(3, 2), (4, 1), (4, 3), (5, 2)]:
             seq = avoiders_sequence(d, r, 6)
             assert seq == [avoiders_count(d, r, n) for n in range(7)]
+
+    @pytest.mark.parametrize("name, d, n", [("d4_r2.txt", 4, 60), ("d5_r2.txt", 5, 36)])
+    def test_reference_prefix(self, name, d, n):
+        lines = (REFERENCE / name).read_text().splitlines()
+        terms = [int(line.split()[1]) for line in lines if line.strip() and line[0] != "#"]
+        assert avoiders_sequence(d, 2, n) == terms[: n + 1]
+
+
+class TestFieldWidthBoundaries:
+    # widths on both sides of a power of two: the longest row, r*n cells,
+    # just fits its field or needs one more bit
+    @pytest.mark.parametrize("r", [1, 63, 64, 127, 128])
+    def test_two_letters(self, r):
+        # no increasing run of 3 from two letters: every word counts
+        assert avoiders_count(3, r, 2) == comb(2 * r, r)
+
+    @pytest.mark.parametrize("r", [32767, 32768])
+    def test_two_letters_sixteen_bits(self, r):
+        # Weighting these 32769 shapes of 2r cells would take minutes (each
+        # standard count is a 65000-bit binomial), so check the table they
+        # come from: every shape of 2r cells with row 1 <= r, each once.
+        last = deque(layer_tables(3, r, 2), maxlen=1).pop()
+        expected = {(2 * r - k, k) if k else (2 * r,): 1 for k in range(r + 1)}
+        assert list(decoded(last, 2, field_width(r, 2)).items()) == list(expected.items())
+
+    @pytest.mark.parametrize("r", [85, 86])
+    def test_three_letters(self, r):
+        assert avoiders_count(4, r, 3) == factorial(3 * r) // factorial(r) ** 3
