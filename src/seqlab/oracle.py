@@ -10,9 +10,6 @@ from __future__ import annotations
 import warnings
 from bisect import bisect_left
 from math import factorial
-from typing import Iterator, Sequence
-
-Word = tuple[int, ...]
 
 ENUMERATION_BUDGET = 10**6
 
@@ -22,46 +19,6 @@ def total_words(r: int, n: int) -> int:
     if r < 1 or n < 0:
         raise ValueError("need r >= 1 and n >= 0")
     return factorial(r * n) // factorial(r) ** n
-
-
-def longest_strict_increase(word: Sequence[int]) -> int:
-    """Length of the longest strictly increasing subsequence.
-
-    Patience method: ``tails[k]`` is the smallest possible last element of an
-    increasing subsequence of length k+1. O(len * log len); 0 for the empty
-    word.
-    """
-    tails: list[int] = []
-    for x in word:
-        pos = bisect_left(tails, x)
-        if pos == len(tails):
-            tails.append(x)
-        else:
-            tails[pos] = x
-    return len(tails)
-
-
-def enumerate_words(r: int, n: int) -> Iterator[Word]:
-    """Every word with exactly ``r`` copies of each of 1..n, in lexicographic
-    order. The count is total_words(r, n)."""
-    if r < 1 or n < 0:
-        raise ValueError("need r >= 1 and n >= 0")
-    remaining = [r] * (n + 1)
-    prefix: list[int] = []
-
-    def rec(cells: int) -> Iterator[Word]:
-        if cells == 0:
-            yield tuple(prefix)
-            return
-        for letter in range(1, n + 1):
-            if remaining[letter]:
-                remaining[letter] -= 1
-                prefix.append(letter)
-                yield from rec(cells - 1)
-                prefix.pop()
-                remaining[letter] += 1
-
-    yield from rec(r * n)
 
 
 def brute_count(

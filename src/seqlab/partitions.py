@@ -79,19 +79,3 @@ def syt_count(shape: Partition) -> int:
         )
     return count
 
-
-def is_horizontal_strip(inner: Partition, outer: Partition) -> bool:
-    """True iff ``outer/inner`` is a horizontal strip.
-
-    That is: ``inner`` fits inside ``outer`` componentwise and no two added
-    cells share a column, i.e. ``outer[i+1] <= inner[i]`` for every row.
-    """
-    if len(inner) > len(outer):
-        return False
-    for i, part in enumerate(outer):
-        below = inner[i] if i < len(inner) else 0
-        if part < below:
-            return False
-        if i + 1 < len(outer) and outer[i + 1] > below:
-            return False
-    return True

@@ -14,13 +14,17 @@ of its reversal (under the Robinson-Schensted-Knuth correspondence) has at
 most d-1 rows. Pairing each such shape's Kostka number with its
 standard-filling count and summing gives the avoider count, with the whole
 dynamic program capped at d-1 rows from the start -- shapes only grow, so
-taller shapes can be pruned the moment they appear.
+taller shapes can be pruned the moment they appear. The standard-filling
+count is the row-length formula split at row 0: a few small-integer
+factors per shape times the count of the rows below it, which is memoized
+for one count or one sequence pass (see ``_weighted_total``).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from itertools import accumulate
+from math import comb, prod
 from typing import Iterator
 
 from .partitions import Partition, syt_count
@@ -169,9 +173,53 @@ def kostka_uniform(shape: Partition, r: int, n: int) -> int:
     return deque(tables, maxlen=1).pop().get(key, 0)
 
 
-def _weighted_total(table: LayerTable, cap: int, width: int) -> int:
-    # pair each shape's column-strict count with its standard-filling count
-    return sum(syt_count(unpack(key, cap, width)) * count for key, count in table.items())
+def _weighted_total(
+    table: LayerTable, size: int, cap: int, width: int, lower: dict[int, int]
+) -> int:
+    """Sum of each shape's count times its standard-filling count, for a
+    table of shapes with ``size`` cells keyed with ``cap`` fields of
+    ``width`` bits.
+
+    Row 0 is peeled off. With ``a = shape[0]``, rows 1..cap-1 read as
+    ``l_1, l_2, ...`` (zero where missing) and ``j`` running over 1..cap-1,
+    Frobenius' row-length formula splits as ``f(shape) = C(size, a) * prod
+    (a - l_j + j) * f(rows 1..) / prod (a + j)``. ``lower`` memoizes ``f(rows
+    1..)`` by the key's low ``cap - 1`` fields: the same lower rows recur
+    across layers, so one pass keeps one memo, and a miss calls
+    ``syt_count``. What depends on ``a`` alone is computed again only when
+    ``a`` changes (rarely: in table order row 0 never grows). Every division
+    is checked to be exact, and a row longer than row 0 raises
+    ``ValueError``.
+    """
+    below = width * (cap - 1)
+    low_mask = (1 << below) - 1
+    mask = (1 << width) - 1
+    rows = tuple(enumerate(range(below - width, -1, -width), 1))  # (j, shift of row j)
+    total = 0
+    last = None
+    for key, count in table.items():
+        a = key >> below
+        low = key & low_mask
+        rest = lower.get(low)
+        if rest is None:
+            rest = lower[low] = syt_count(unpack(low, cap - 1, width))
+        if a != last:
+            last = a
+            head = comb(size, a)
+            denominator = prod(range(a + 1, a + cap))
+        numerator = head * rest
+        for j, shift in rows:
+            factor = a + j - (low >> shift & mask)
+            if factor <= 0:  # syt_count accepted rows 1.., so row 1 exceeds row 0
+                raise ValueError(f"{unpack(key, cap, width)} is not a partition")
+            numerator *= factor
+        f, remainder = divmod(numerator, denominator)
+        if remainder:
+            raise ArithmeticError(
+                f"{denominator} does not divide {numerator} for {unpack(key, cap, width)}"
+            )
+        total += f * count
+    return total
 
 
 def avoiders_count(d: int, r: int, n: int) -> int:
@@ -179,11 +227,15 @@ def avoiders_count(d: int, r: int, n: int) -> int:
     no strictly increasing subsequence of length ``d``. Only the last table
     is weighted."""
     last = deque(layer_tables(d, r, n), maxlen=1).pop()
-    return _weighted_total(last, d - 1, field_width(r, n))
+    return _weighted_total(last, r * n, d - 1, field_width(r, n), {})
 
 
 def avoiders_sequence(d: int, r: int, n_max: int) -> list[int]:
     """Terms 0..n_max of the avoider counts, from one pass over the layer
     tables, each one weighted."""
     width = field_width(r, n_max)
-    return [_weighted_total(table, d - 1, width) for table in layer_tables(d, r, n_max)]
+    lower: dict[int, int] = {}  # see _weighted_total
+    return [
+        _weighted_total(table, r * i, d - 1, width, lower)
+        for i, table in enumerate(layer_tables(d, r, n_max))
+    ]

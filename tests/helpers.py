@@ -1,10 +1,16 @@
 """Independent brute-force oracles for the test suite.
 
 Everything here is deliberately dumb: different algorithms from the library
-code they check, so agreement means something.
+code they check, so agreement means something. The one exception,
+``direct_weighted_sequence``, is the library's own layer tables weighted the
+plain way, as the reference for the engine's faster weighting.
 """
 
+from bisect import bisect_left
 from math import comb, factorial
+
+from seqlab.partitions import syt_count
+from seqlab.tableaux import field_width, layer_tables, unpack
 
 
 def catalan(n: int) -> int:
@@ -121,3 +127,64 @@ def lis_quadratic(word) -> int:
 
 def cells_of(shape: tuple[int, ...]) -> set[tuple[int, int]]:
     return {(i, j) for i, w in enumerate(shape) for j in range(w)}
+
+
+def longest_strict_increase(word) -> int:
+    """Length of the longest strictly increasing subsequence, by the
+    patience method: ``tails[k]`` is the smallest possible last element of
+    an increasing subsequence of length k+1. 0 for the empty word."""
+    tails: list[int] = []
+    for x in word:
+        pos = bisect_left(tails, x)
+        if pos == len(tails):
+            tails.append(x)
+        else:
+            tails[pos] = x
+    return len(tails)
+
+
+def enumerate_words(r: int, n: int):
+    """Every word with exactly ``r`` copies of each of 1..n, in
+    lexicographic order."""
+    remaining = [r] * (n + 1)
+    prefix: list[int] = []
+
+    def rec(cells: int):
+        if cells == 0:
+            yield tuple(prefix)
+            return
+        for letter in range(1, n + 1):
+            if remaining[letter]:
+                remaining[letter] -= 1
+                prefix.append(letter)
+                yield from rec(cells - 1)
+                prefix.pop()
+                remaining[letter] += 1
+
+    yield from rec(r * n)
+
+
+def is_horizontal_strip(inner: tuple[int, ...], outer: tuple[int, ...]) -> bool:
+    """True iff ``outer/inner`` is a horizontal strip: ``inner`` fits inside
+    ``outer`` and no two added cells share a column, i.e. ``outer[i+1] <=
+    inner[i]`` for every row."""
+    if len(inner) > len(outer):
+        return False
+    for i, part in enumerate(outer):
+        below = inner[i] if i < len(inner) else 0
+        if part < below:
+            return False
+        if i + 1 < len(outer) and outer[i + 1] > below:
+            return False
+    return True
+
+
+def direct_weighted_sequence(d: int, r: int, n: int) -> list[int]:
+    """Avoider counts 0..n weighted shape by shape: each key of each layer
+    table decoded and its standard-filling count taken from ``syt_count``
+    on the whole shape."""
+    width = field_width(r, n)
+    return [
+        sum(syt_count(unpack(key, d - 1, width)) * count for key, count in table.items())
+        for table in layer_tables(d, r, n)
+    ]

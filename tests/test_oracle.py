@@ -2,14 +2,14 @@ import random
 
 import pytest
 
-from seqlab.oracle import (
-    brute_count,
-    enumerate_words,
-    longest_strict_increase,
-    total_words,
-)
+from seqlab.oracle import brute_count, total_words
 
-from helpers import lis_quadratic, multiset_total
+from helpers import (
+    enumerate_words,
+    lis_quadratic,
+    longest_strict_increase,
+    multiset_total,
+)
 
 
 class TestLongestStrictIncrease:

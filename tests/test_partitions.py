@@ -2,7 +2,7 @@ from math import factorial
 
 import pytest
 
-from seqlab.partitions import is_horizontal_strip, partitions_upto_length, syt_count
+from seqlab.partitions import partitions_upto_length, syt_count
 
 from helpers import (
     brute_partitions,
@@ -10,6 +10,7 @@ from helpers import (
     cells_of,
     conjugate,
     hook_length_count,
+    is_horizontal_strip,
 )
 
 

@@ -3,9 +3,11 @@ from math import comb, factorial
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from seqlab.partitions import is_horizontal_strip, partitions_upto_length, syt_count
+from seqlab.partitions import partitions_upto_length, syt_count
 from seqlab.tableaux import (
+    _weighted_total,
     advance_layer,
     avoiders_count,
     avoiders_sequence,
@@ -17,7 +19,14 @@ from seqlab.tableaux import (
     unpack,
 )
 
-from helpers import brute_ssyt_count, catalan, multiset_total
+from helpers import (
+    brute_ssyt_count,
+    catalan,
+    direct_weighted_sequence,
+    hook_length_count,
+    is_horizontal_strip,
+    multiset_total,
+)
 
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "data"
 W = 8  # field width of the tables built by hand below
@@ -160,7 +169,51 @@ class TestLayerTables:
         )
         avoiders_count(4, 2, 6)
         last = list(layer_tables(4, 2, 6))[-1]
-        assert shapes == [unpack(key, 3, field_width(2, 6)) for key in last]
+        # one call per distinct lower-row shape (rows 1..) of the last table,
+        # in first-seen order; none for a shape only earlier tables have
+        lower = [unpack(key, 3, field_width(2, 6))[1:] for key in last]
+        assert shapes == list(dict.fromkeys(lower))
+
+
+class TestWeighting:
+    def test_peeled_row_matches_hook_lengths(self):
+        # every partition of up to 24 cells, padded to every row count up to
+        # 7; one memo per row count, so later sizes also read memoized rows
+        for cap in range(1, 8):
+            lower = {}
+            for size in range(25):
+                for shape in partitions_upto_length(size, cap):
+                    table = {pack(shape, cap, W): 1}
+                    got = _weighted_total(table, size, cap, W, lower)
+                    assert got == hook_length_count(shape), (shape, cap)
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(2, 6), r=st.integers(1, 3), n=st.integers(0, 7))
+    def test_matches_direct_weighting(self, d, r, n):
+        assert avoiders_sequence(d, r, n) == direct_weighted_sequence(d, r, n)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (2, 5), (0, 1), (3, 4, 1), (3, 1, 2)])
+    def test_rejects_non_partitions(self, shape):
+        # row 1 longer than row 0 (the peeled factor is zero or negative), or
+        # lower rows that are no partition
+        cap = len(shape)
+        with pytest.raises(ValueError):
+            _weighted_total({pack(shape, cap, W): 1}, sum(shape), cap, W, {})
+
+    def test_no_memo_outlives_a_call(self, monkeypatch):
+        import seqlab.tableaux
+
+        calls = []
+        original = seqlab.tableaux.syt_count
+        monkeypatch.setattr(
+            seqlab.tableaux, "syt_count", lambda shape: calls.append(shape) or original(shape)
+        )
+        counts = []
+        for _ in range(2):
+            calls.clear()
+            avoiders_sequence(5, 2, 12)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
 
 
 class TestKostkaUniform:
