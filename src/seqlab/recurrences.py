@@ -3,24 +3,26 @@
 Guessing builds an exact homogeneous linear system from sequence windows and
 extracts integer nullspace vectors; a candidate counts only if it also
 annihilates a held-out tail it never saw. There is no floating point
-anywhere in this module: elimination is fraction-free over the integers and
-back-substitution runs over exact rationals, so an accepted recurrence is a
-certificate for the supplied terms, not a fit.
+anywhere in this module, and exact integer arithmetic is the only judge, so
+an accepted recurrence is a certificate for the supplied terms, not a fit.
 
-Before that exact work, each candidate system is screened modulo the prime
-P = 2^61 - 1. The screen can only reject: the rank over Q is at least the
-rank mod P, so a system of full column rank mod P has no nullspace vector
-and no recurrence. A system that is rank-deficient mod P proves nothing by
-that, and exact elimination and the held-out check still decide it; the
-result of a search is the same with or without the screen.
+Each system is eliminated modulo the primes of a ladder, and only there.
+Full column rank modulo any prime proves the nullspace over Q is empty. A
+kernel mod p is lifted by rational reconstruction and checked exactly on
+every training window; if every lifted vector passes, the kernel over Q is
+at least as large as the one mod p, which is never larger, so the lift is
+the reduced-echelon basis over Q itself. A prime whose lift fails is
+unlucky or too small for the coefficients, and the next prime, about twice
+as wide, decides instead. Only when the ladder runs out is a pair left
+undecided.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt, lcm
+from operator import mul
 from time import perf_counter
 from typing import Iterable, Iterator, Sequence
 
@@ -166,99 +168,74 @@ def extend(rec: PRecurrence, seed: Sequence[int], n_max: int) -> list[int]:
     return terms[: n_max + 1]
 
 
-# --- exact nullspace -------------------------------------------------------
+# --- modular kernel --------------------------------------------------------
+
+# Mersenne primes, each with about twice the bits of the one before. A minor
+# of an integer matrix that is nonzero modulo a prime is nonzero over the
+# integers, so the rank over Q is at least the rank mod p: full column rank
+# modulo any of them proves the nullspace is empty.
+PRIME_LADDER = tuple(2**e - 1 for e in (61, 127, 521, 1279, 2203, 4423, 9689))
+P = PRIME_LADDER[0]
 
 
-def _nullspace_basis(rows: list[list[int]], ncols: int) -> list[list[int]]:
-    """Primitive integer basis of the right nullspace of an integer matrix,
-    one vector per free column, in ascending free-column order.
-
-    Forward elimination is fraction-free (cross-multiplication with exact
-    division by the previous pivot); back-substitution runs over Fractions
-    and each vector is scaled to coprime integers.
-    """
-    m = [row[:] for row in rows]
-    pivot_cols: list[int] = []
-    rank = 0
-    prev_pivot = 1
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(rank, len(m)):
-            if m[i][col]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        pivot = m[rank][col]
-        top = m[rank]
-        for i in range(rank + 1, len(m)):
-            row = m[i]
-            factor = row[col]
-            for j in range(col, ncols):
-                row[j] = (pivot * row[j] - factor * top[j]) // prev_pivot
-        prev_pivot = pivot
-        pivot_cols.append(col)
-        rank += 1
-        if rank == len(m):
-            break
-
-    taken = set(pivot_cols)
-    basis: list[list[int]] = []
-    for free in (c for c in range(ncols) if c not in taken):
-        x = [Fraction(0)] * ncols
-        x[free] = Fraction(1)
-        for k in reversed(range(rank)):
-            col = pivot_cols[k]
-            row = m[k]
-            s = Fraction(0)
-            for j in range(col + 1, ncols):
-                if x[j]:
-                    s += row[j] * x[j]
-            x[col] = -s / row[col]
-        scale = 1
-        for f in x:
-            scale = scale * f.denominator // gcd(scale, f.denominator)
-        vec = [int(f * scale) for f in x]
-        content = 0
-        for v in vec:
-            content = gcd(content, v)
-        basis.append([v // content for v in vec])
-    return basis
-
-
-# --- modular screen --------------------------------------------------------
-
-# A Mersenne prime just under a machine word. A minor of an integer matrix
-# that is nonzero modulo P is nonzero over the integers, so the rank over Q
-# is at least the rank mod P: full column rank mod P proves the nullspace is
-# empty. A rank deficit mod P proves nothing and goes to exact elimination.
-P = 2**61 - 1
-
-
-def _rank_full_mod_p(rows: Iterable[list[int]], ncols: int) -> bool:
-    """True when ``rows`` reach rank ``ncols`` modulo P, reading rows only
-    until they do.
+def _kernel_mod(rows: Iterable[list[int]], ncols: int, p: int) -> list[list[int]]:
+    """Reduced-echelon basis of the right kernel of ``rows`` modulo ``p``,
+    one vector per free column in ascending order; ``[]`` as soon as the
+    rows reach rank ``ncols``, reading no further.
 
     Each row is reduced against an echelon basis of unit-pivot rows, each
     stored from its pivot column on and zero at the pivots of the rows
     inserted before it, so one pass in insertion order clears every pivot.
+    Back-substitution in descending pivot order then clears the later ones.
     """
     basis: list[tuple[int, list[int]]] = []
     for row in rows:
-        row = [x % P for x in row]
+        row = [x % p for x in row]
         for col, tail in basis:
             f = row[col]
             if f:
-                row[col:] = [(x - f * y) % P for x, y in zip(row[col:], tail)]
+                row[col:] = [(x - f * y) % p for x, y in zip(row[col:], tail)]
         lead = next((j for j, x in enumerate(row) if x), None)
         if lead is None:
             continue
-        inverse = pow(row[lead], -1, P)
-        basis.append((lead, [x * inverse % P for x in row[lead:]]))
+        inverse = pow(row[lead], -1, p)
+        basis.append((lead, [x * inverse % p for x in row[lead:]]))
         if len(basis) == ncols:
-            return True
-    return False
+            return []
+    reduced: dict[int, list[int]] = {}
+    for col, tail in sorted(basis, reverse=True):
+        row = [0] * col + tail
+        for later, other in reduced.items():
+            f = row[later]
+            if f:
+                row[later:] = [(x - f * y) % p for x, y in zip(row[later:], other[later:])]
+        reduced[col] = row
+    kernel = []
+    for free in (c for c in range(ncols) if c not in reduced):
+        vec = [0] * ncols
+        vec[free] = 1
+        for col, row in reduced.items():
+            vec[col] = -row[free] % p
+        kernel.append(vec)
+    return kernel
+
+
+def _primitive(vec: list[int], p: int) -> list[int]:
+    """The primitive integer vector whose entries' ratios reconstruct those
+    of ``vec`` modulo ``p``: each entry as the fraction a/b with |a|, |b| at
+    most isqrt(p // 2), by the half-extended Euclidean algorithm."""
+    bound = isqrt(p // 2)
+    fractions = []
+    for x in vec:
+        r0, r1, t0, t1 = p, x, 0, 1
+        while r1 > bound:
+            q = r0 // r1
+            r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+        fractions.append((r1, t1))
+    scale = lcm(*(t for _, t in fractions))
+    ints = [r * (scale // t) for r, t in fractions]
+    content = gcd(*ints)
+    return [v // content for v in ints]
 
 
 # --- guessing --------------------------------------------------------------
@@ -311,9 +288,12 @@ def guess(
     ``holdout`` terms; a nullspace vector is accepted only if it also
     annihilates every window touching the held-out terms. Pairs with fewer
     training windows than unknowns are skipped -- an underdetermined system
-    always has solutions and proves nothing. A pair whose system has full
-    column rank modulo P has no nullspace vector and is rejected without
-    exact work; the screen never accepts anything.
+    always has solutions and proves nothing. The nullspace comes from the
+    prime ladder: a pair of full column rank modulo a prime is rejected
+    with no exact work, and otherwise the first prime whose lifted kernel
+    annihilates every training window gives the basis that exact
+    elimination over Q would (see the module docstring). A pair no prime
+    decides is "undecided" and rejected.
 
     The whole search box is available when ``len(terms)`` is at least
     (max_order+1)*(max_degree+1) + holdout + max_order. ``holdout`` defaults
@@ -321,7 +301,8 @@ def guess(
     degree whose order-1 system that holdout leaves determined. Returns None
     when nothing within the bounds fits (which says nothing about larger
     bounds). Each tried pair is logged at INFO level with its unknowns,
-    seconds and verdict.
+    seconds and verdict: "rank-full mod p", "undecided", "zero leading
+    polynomial", "held-out rejected" or "accepted".
     """
     terms = [int(t) for t in terms]
     if max_order < 1 or (max_degree is not None and max_degree < 0):
@@ -338,7 +319,6 @@ def guess(
     if max_degree is None:
         max_degree = determined_degree(len(terms), holdout)
     train_len = len(terms) - holdout
-    residues = [t % P for t in terms]
     pairs = sorted(
         (
             (order, degree)
@@ -353,10 +333,7 @@ def guess(
         if windows < unknowns:
             continue
         started = perf_counter()
-        if _rank_full_mod_p(_window_rows(residues, order, degree, windows), unknowns):
-            found, verdict = None, "rank-full mod p"
-        else:
-            found, verdict = _judge_exactly(terms, order, degree, windows, holdout)
+        found, verdict = _judge(terms, order, degree, windows, holdout)
         log.info(
             "guess order %d degree %d: %d unknowns, %.4f s, %s",
             order,
@@ -370,22 +347,33 @@ def guess(
     return None
 
 
-def _judge_exactly(
+def _judge(
     terms: list[int], order: int, degree: int, windows: int, holdout: int
 ) -> tuple[PRecurrence | None, str]:
-    """The first exact nullspace vector of the (order, degree) system that is
-    a recurrence annihilating the held-out tail, with the verdict of the
+    """The first kernel vector of the (order, degree) system that is a
+    recurrence annihilating the held-out tail, with the verdict of the
     furthest check any vector reached."""
-    rows = list(_window_rows(terms, order, degree, windows))
-    verdict = "no exact nullspace vector"
-    for vec in _nullspace_basis(rows, (order + 1) * (degree + 1)):
+    unknowns = (order + 1) * (degree + 1)
+    rows = None
+    for p in PRIME_LADDER:
+        residues = [t % p for t in terms]
+        kernel = _kernel_mod(_window_rows(residues, order, degree, windows), unknowns, p)
+        if not kernel:
+            return None, "rank-full mod p"
+        if rows is None:
+            rows = list(_window_rows(terms, order, degree, windows))
+        basis = [_primitive(vec, p) for vec in kernel]
+        if all(sum(map(mul, row, vec)) == 0 for vec in basis for row in rows):
+            break
+    else:
+        return None, "undecided"
+    verdict = "zero leading polynomial"
+    for vec in basis:
         polys = tuple(
             poly_trim(vec[i * (degree + 1) : (i + 1) * (degree + 1)])
             for i in range(order + 1)
         )
         if not polys[-1]:
-            if verdict == "no exact nullspace vector":
-                verdict = "zero leading polynomial"
             continue
         candidate = PRecurrence(polys)
         if _annihilates_tail(candidate, terms, holdout):

@@ -1,15 +1,19 @@
 """Independent brute-force oracles for the test suite.
 
 Everything here is deliberately dumb: different algorithms from the library
-code they check, so agreement means something. The one exception,
-``direct_weighted_sequence``, is the library's own layer tables weighted the
-plain way, as the reference for the engine's faster weighting.
+code they check, so agreement means something. Two exceptions reuse library
+pieces around a different core: ``direct_weighted_sequence`` is the
+library's own layer tables weighted the plain way, as the reference for the
+engine's faster weighting, and ``exact_guess`` is the library's search with
+its modular kernel replaced by fraction-free elimination over the integers.
 """
 
 from bisect import bisect_left
-from math import comb, factorial
+from fractions import Fraction
+from math import comb, factorial, gcd
 
 from seqlab.partitions import syt_count
+from seqlab.recurrences import PRecurrence, _window_rows, poly_trim, recurrence_residual
 from seqlab.tableaux import field_width, layer_tables, unpack
 
 
@@ -188,3 +192,83 @@ def direct_weighted_sequence(d: int, r: int, n: int) -> list[int]:
         sum(syt_count(unpack(key, d - 1, width)) * count for key, count in table.items())
         for table in layer_tables(d, r, n)
     ]
+
+
+def exact_nullspace_basis(rows: list[list[int]], ncols: int) -> list[list[int]]:
+    """Primitive integer basis of the right nullspace of an integer matrix,
+    one vector per free column, in ascending free-column order.
+
+    Forward elimination is fraction-free (cross-multiplication with exact
+    division by the previous pivot); back-substitution runs over Fractions
+    and each vector is scaled to coprime integers.
+    """
+    m = [row[:] for row in rows]
+    pivot_cols: list[int] = []
+    rank = 0
+    prev_pivot = 1
+    for col in range(ncols):
+        pivot_row = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if pivot_row is None:
+            continue
+        m[rank], m[pivot_row] = m[pivot_row], m[rank]
+        pivot = m[rank][col]
+        top = m[rank]
+        for row in m[rank + 1 :]:
+            factor = row[col]
+            for j in range(col, ncols):
+                row[j] = (pivot * row[j] - factor * top[j]) // prev_pivot
+        prev_pivot = pivot
+        pivot_cols.append(col)
+        rank += 1
+        if rank == len(m):
+            break
+
+    basis: list[list[int]] = []
+    for free in (c for c in range(ncols) if c not in pivot_cols):
+        x = [Fraction(0)] * ncols
+        x[free] = Fraction(1)
+        for k in reversed(range(rank)):
+            col = pivot_cols[k]
+            row = m[k]
+            s = sum((row[j] * x[j] for j in range(col + 1, ncols) if x[j]), Fraction(0))
+            x[col] = -s / row[col]
+        scale = 1
+        for f in x:
+            scale = scale * f.denominator // gcd(scale, f.denominator)
+        vec = [int(f * scale) for f in x]
+        content = gcd(*vec)
+        basis.append([v // content for v in vec])
+    return basis
+
+
+def exact_guess(terms, max_order: int, max_degree: int, holdout: int | None = None):
+    """``guess`` over an explicit box, with every nullspace taken by
+    ``exact_nullspace_basis``: the same pair order, the same skipped
+    underdetermined pairs and the same per-vector judging (a zero leading
+    polynomial is skipped; a recurrence must annihilate every window that
+    touches the held-out terms)."""
+    terms = [int(t) for t in terms]
+    if holdout is None:
+        holdout = max(4, len(terms) // 4)
+    train_len = len(terms) - holdout
+    pairs = sorted(
+        ((order, degree) for order in range(1, max_order + 1) for degree in range(max_degree + 1)),
+        key=lambda od: ((od[0] + 1) * (od[1] + 1), od[0]),
+    )
+    for order, degree in pairs:
+        unknowns = (order + 1) * (degree + 1)
+        windows = train_len - order
+        if windows < unknowns:
+            continue
+        rows = list(_window_rows(terms, order, degree, windows))
+        for vec in exact_nullspace_basis(rows, unknowns):
+            polys = tuple(
+                poly_trim(vec[i * (degree + 1) : (i + 1) * (degree + 1)]) for i in range(order + 1)
+            )
+            if not polys[-1]:
+                continue
+            rec = PRecurrence(polys)
+            tail = range(max(0, train_len - order), len(terms) - order)
+            if all(recurrence_residual(rec, terms, n) == 0 for n in tail):
+                return rec
+    return None

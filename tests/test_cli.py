@@ -152,7 +152,7 @@ class TestGuessAndExtend:
         pairs = [
             re.fullmatch(
                 r"stats: guess order (\d+) degree (\d+): (\d+) unknowns, "
-                r"\d+\.\d+ s, (rank-full mod p|no exact nullspace vector|"
+                r"\d+\.\d+ s, (rank-full mod p|undecided|"
                 r"zero leading polynomial|held-out rejected|accepted)",
                 line,
             )

@@ -1,5 +1,6 @@
 import logging
 from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,16 +19,18 @@ from seqlab.recurrences import (
     poly_degree,
     poly_eval,
     poly_trim,
+    recurrence_residual,
     verify,
-    _nullspace_basis,
-    _rank_full_mod_p,
+    _kernel_mod,
     _window_rows,
 )
 from seqlab.tableaux import avoiders_sequence
 
-from helpers import catalan
+from helpers import catalan, exact_guess, exact_nullspace_basis
 
 CATALAN_REC = PRecurrence(((-2, -4), (2, 1)))  # (n+2) a(n+1) = (4n+2) a(n)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71]
 
@@ -164,13 +167,6 @@ class TestGuess:
             guess([1] * 20, holdout=0)
 
 
-def exact_guess(monkeypatch, terms, *args, **kwargs):
-    """guess with the modular screen switched off: the exact search alone."""
-    with monkeypatch.context() as m:
-        m.setattr(recurrences, "_rank_full_mod_p", lambda rows, ncols: False)
-        return guess(terms, *args, **kwargs)
-
-
 def verdicts(caplog):
     return [r.getMessage().rsplit(", ", 1)[1] for r in caplog.records]
 
@@ -198,10 +194,10 @@ class TestModularScreen:
                 windows = train_len - order
                 if windows < unknowns:
                     continue
-                screened = _rank_full_mod_p(
-                    _window_rows(residues, order, degree, windows), unknowns
+                screened = not _kernel_mod(
+                    _window_rows(residues, order, degree, windows), unknowns, P
                 )
-                exact = _nullspace_basis(
+                exact = exact_nullspace_basis(
                     list(_window_rows(terms, order, degree, windows)), unknowns
                 )
                 if exact:
@@ -211,27 +207,31 @@ class TestModularScreen:
         assert kept and rejected
 
     def test_multiples_of_p_leave_the_exact_search_to_decide(self, monkeypatch, caplog):
-        caplog.set_level(logging.INFO, logger="seqlab.recurrences")
         catalans = [P * catalan(n) for n in range(20)]
         assert guess(catalans, 2, 2, holdout=4) == CATALAN_REC
         primes = [P * q for q in PRIMES]
         assert guess(primes, 2, 2, holdout=4) is None
-        assert guess(primes, 2, 2, holdout=4) == exact_guess(monkeypatch, primes, 2, 2, holdout=4)
+        assert guess(primes, 2, 2, holdout=4) == exact_guess(primes, 2, 2, holdout=4)
+        # every system is zero modulo P: that prime alone proves no rank
+        monkeypatch.setattr(recurrences, "PRIME_LADDER", (P,))
+        caplog.set_level(logging.INFO, logger="seqlab.recurrences")
+        assert guess(primes, 2, 2, holdout=4) is None
         assert "rank-full mod p" not in verdicts(caplog)
 
     @pytest.mark.parametrize("box", [(1, 1), (2, 2), (3, 3), (3, 4)])
-    def test_same_answer_as_the_exact_search(self, monkeypatch, box):
+    def test_same_answer_as_the_exact_search(self, box):
         grid = [extend(rec, seed, 29) for rec, seed in PLANTED]
         grid += [PRIMES, avoiders_sequence(3, 1, 29), avoiders_sequence(4, 1, 29)]
         for terms in grid:
-            assert guess(terms, *box) == exact_guess(monkeypatch, terms, *box)
+            assert guess(terms, *box) == exact_guess(terms, *box)
         assert guess(grid[3], 2, 3) == PLANTED[3][0]
 
     @pytest.mark.parametrize(
         "terms, box, verdict",
         [
             (PRIMES, (1, 0), "rank-full mod p"),
-            ([1, 1 + P] * 6, (1, 0), "no exact nullspace vector"),
+            # (1, -1) spans the kernel mod P and fails exactly; 2^127 - 1 decides
+            ([1, 1 + P] * 6, (1, 0), "rank-full mod p"),
             ([0] * 7 + [1] + [0] * 4, (1, 0), "zero leading polynomial"),
             ([1] * 9 + [5, 7, 11], (1, 0), "held-out rejected"),
             ([catalan(n) for n in range(12)], (1, 1), "accepted"),
@@ -241,6 +241,37 @@ class TestModularScreen:
         caplog.set_level(logging.INFO, logger="seqlab.recurrences")
         guess(terms, *box, holdout=4)
         assert verdicts(caplog)[-1] == verdict
+
+    def test_undecided_when_the_ladder_runs_out(self, monkeypatch, caplog):
+        monkeypatch.setattr(recurrences, "PRIME_LADDER", (P,))
+        caplog.set_level(logging.INFO, logger="seqlab.recurrences")
+        assert guess([1, 1 + P] * 6, 1, 0, holdout=4) is None
+        assert verdicts(caplog) == ["undecided"]
+
+    @given(st.lists(st.integers(2**64, 2**80), min_size=4, max_size=4))
+    @settings(max_examples=20, deadline=None)
+    def test_planted_coefficients_past_one_prime(self, c):
+        # a(n+2) = c0(n) a(n) + c1(n) a(n+1) with positive coefficients above
+        # 2^64, so the terms grow and the kernel vector needs the third prime
+        planted = PRecurrence(((c[0], c[1]), (c[2], c[3]), (-1,)))
+        terms = extend(planted, [1, 1], 29)
+        found = guess(terms, 2, 1)
+        assert found == exact_guess(terms, 2, 1)
+        assert found == planted
+
+
+class TestSurveyRecurrence:
+    def test_d5_r2_generates_the_reference_terms(self):
+        # guessed from terms 0..180 with 20 held out; checked here against
+        # the independently stored reference terms 0..85
+        rec = parse_recurrence((ROOT / "survey" / "d5_r2.rec").read_text())
+        lines = (ROOT / "perfbench" / "data" / "d5_r2.txt").read_text().splitlines()
+        terms = [int(line.split()[1]) for line in lines if line.strip() and line[0] != "#"]
+        assert (rec.order, rec.degree, len(terms)) == (6, 16, 86)
+        assert all(
+            recurrence_residual(rec, terms, n) == 0 for n in range(len(terms) - rec.order)
+        )
+        assert extend(rec, terms[: rec.order], len(terms) - 1) == terms
 
 
 class TestTextFormat:
