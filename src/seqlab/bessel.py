@@ -5,55 +5,57 @@ For permutations (one copy of each letter), the generating function of the
 counts divided by n!^2 equals a k x k determinant of modified Bessel series
 (Gessel's identity): sum_n u_k(n)/n!^2 * x^(2n) = det(I_(|i-j|)(2x)). A
 series truncated after degree ``trunc`` is the list of its ``trunc + 1``
-exact ``Fraction`` coefficients, so the check is an identity test, not a
-numeric comparison.
+exponential coefficients ``m! * [x^m]``, which are integers for every series
+here, so the determinant is exact integer arithmetic and the check is an
+identity test, not a numeric comparison.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from typing import Sequence
 
 from .tableaux import avoiders_count
 
 
-def _series_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    """Product of two series of one truncation, truncated likewise."""
+def _series_mul(a: list[int], b: list[int]) -> list[int]:
+    """Product of two series of one truncation, truncated likewise: in
+    exponential coefficients, the binomial convolution ``sum_i C(m, i) *
+    a[i] * b[m - i]``."""
     size = len(a)
     if len(b) != size:
         raise ValueError("series truncation mismatch")
-    out = [Fraction(0)] * size
+    out = [0] * size
     for i, x in enumerate(a):
         if not x:
             continue
         for j in range(size - i):
             y = b[j]
             if y:
-                out[i + j] += x * y
+                out[i + j] += comb(i + j, i) * x * y
     return out
 
 
-def bessel_I_2x(nu: int, trunc: int) -> list[Fraction]:
+def bessel_I_2x(nu: int, trunc: int) -> list[int]:
     """Series of the modified Bessel function I_nu at argument 2x, as its
-    ``trunc + 1`` coefficients: the coefficient of x^(2j+nu) is
-    1/(j! * (j+nu)!).
+    ``trunc + 1`` exponential coefficients: x^(2j+nu) has the ordinary
+    coefficient 1/(j! * (j+nu)!), so the exponential one C(2j+nu, j).
 
     Orders above the truncation give the zero series.
     """
     if nu < 0 or trunc < 0:
         raise ValueError("Bessel order and truncation degree must be nonnegative")
-    coeffs = [Fraction(0)] * (trunc + 1)
-    j = 0
-    while 2 * j + nu <= trunc:
-        coeffs[2 * j + nu] = Fraction(1, factorial(j) * factorial(j + nu))
-        j += 1
+    coeffs = [0] * (trunc + 1)
+    for m in range(nu, trunc + 1, 2):
+        coeffs[m] = comb(m, (m - nu) // 2)
     return coeffs
 
 
-def series_det(matrix: Sequence[Sequence[list[Fraction]]]) -> list[Fraction]:
-    """Determinant of a square matrix of series of one length.
+def series_det(matrix: Sequence[Sequence[list[int]]]) -> list[int]:
+    """Determinant of a square matrix of series of one length, in
+    exponential coefficients.
 
     Expansion by minors with memoization on column subsets: O(2^k) series
     products, fine for k up to ~8. Elimination-style algorithms would divide
@@ -65,14 +67,14 @@ def series_det(matrix: Sequence[Sequence[list[Fraction]]]) -> list[Fraction]:
     size = len(matrix[0][0])
     if any(len(entry) != size for row in matrix for entry in row):
         raise ValueError("all entries must share one truncation")
-    memo = {0: [Fraction(1)] + [Fraction(0)] * (size - 1)}
+    memo = {0: [1] + [0] * (size - 1)}
 
-    def expand(mask: int) -> list[Fraction]:
+    def expand(mask: int) -> list[int]:
         cached = memo.get(mask)
         if cached is not None:
             return cached
         row = k - bin(mask).count("1")
-        acc = [Fraction(0)] * size
+        acc = [0] * size
         add = True
         for col in range(k):
             bit = 1 << col
@@ -90,11 +92,11 @@ def series_det(matrix: Sequence[Sequence[list[Fraction]]]) -> list[Fraction]:
 
 
 def bessel_determinant(k: int, trunc: int) -> list[Fraction]:
-    """det(I_(|i-j|)(2x)) for i, j = 1..k, truncated after degree ``trunc``."""
+    """det(I_(|i-j|)(2x)) for i, j = 1..k to degree ``trunc``, as ``Fraction`` coefficients."""
     if k < 1:
         raise ValueError("k must be positive")
     matrix = [[bessel_I_2x(abs(i - j), trunc) for j in range(k)] for i in range(k)]
-    return series_det(matrix)
+    return [Fraction(c, factorial(m)) for m, c in enumerate(series_det(matrix))]
 
 
 @dataclass(frozen=True)

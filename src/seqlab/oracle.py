@@ -1,8 +1,10 @@
-"""Brute-force ground truth: enumerate words directly and test increasing
-subsequences, independently of the tableau machinery.
+"""Brute-force ground truth: grow words letter by letter and test
+increasing subsequences, independently of the tableau machinery.
 
-Intended for desk-size instances; the counting engine is validated against
-this module, not the other way around.
+The search runs over prefixes and memoizes each one's count of completions
+on the letters left and the patience tails, which is all a completion
+depends on; no word is built twice from the same state. The counting engine
+is validated against this module, not the other way around.
 """
 
 from __future__ import annotations
@@ -25,12 +27,17 @@ def brute_count(
     d: int, r: int, n: int, budget: int | None = ENUMERATION_BUDGET
 ) -> int:
     """Count words on {1^r..n^r} with no strictly increasing subsequence of
-    length ``d``, by depth-first multiset enumeration.
+    length ``d``, by a depth-first search over prefixes.
 
     The patience tails structure is maintained incrementally and undone on
-    backtrack; a branch is pruned the moment its prefix reaches an increase
-    of length d, which no extension can take back. Letters are tried in
-    ascending order, so the traversal is deterministic. Emits a warning when
+    backtrack. A prefix is pruned once it holds an increase of length d-1
+    (the tails are full) while a letter above its last tail is left, since
+    that letter completes an increase of length d wherever it goes; every
+    other prefix has a completion, the one with the letters left in
+    descending order. Letters are tried in ascending order, so the traversal
+    is deterministic. The letters left and the tails fix every completion
+    (the tails are all that patience sorting carries forward), so each such
+    state is counted once and memoized for this call. Emits a warning when
     the total word count exceeds ``budget`` (pass None to silence).
     """
     if d < 2:
@@ -41,25 +48,30 @@ def brute_count(
         total = total_words(r, n)
         if total > budget:
             warnings.warn(
-                f"enumerating {total} words for (d={d}, r={r}, n={n}) exceeds "
-                f"the budget of {budget}; expect a long run",
+                f"(d={d}, r={r}, n={n}) has {total} words, more than the "
+                f"budget of {budget}",
                 stacklevel=2,
             )
     limit = d - 1
     remaining = [r] * (n + 1)
     tails: list[int] = []
+    memo: dict[tuple[int, ...], int] = {}  # (*remaining, *tails) -> completions
 
     def walk(cells: int) -> int:
         if cells == 0:
             return 1
+        if len(tails) == limit and any(remaining[tails[-1] + 1 :]):
+            return 0
+        state = (*remaining, *tails)
+        found = memo.get(state)
+        if found is not None:
+            return found
         found = 0
         for letter in range(1, n + 1):
             if not remaining[letter]:
                 continue
             pos = bisect_left(tails, letter)
             if pos == len(tails):
-                if pos == limit:
-                    continue
                 tails.append(letter)
                 remaining[letter] -= 1
                 found += walk(cells - 1)
@@ -72,6 +84,10 @@ def brute_count(
                 found += walk(cells - 1)
                 remaining[letter] += 1
                 tails[pos] = old
+        memo[state] = found
         return found
 
-    return walk(r * n)
+    try:
+        return walk(r * n)
+    finally:
+        memo.clear()  # walk refers to itself, so the memo would wait for gc

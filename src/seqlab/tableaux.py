@@ -187,26 +187,32 @@ def _weighted_total(
     1..)`` by the key's low ``cap - 1`` fields: the same lower rows recur
     across layers, so one pass keeps one memo, and a miss calls
     ``syt_count``. What depends on ``a`` alone is computed again only when
-    ``a`` changes (rarely: in table order row 0 never grows). Every division
-    is checked to be exact, and a row longer than row 0 raises
-    ``ValueError``.
+    ``a`` changes: in table order row 0 never grows, and where it drops by
+    one, ``C(size, a)`` and ``prod (a + j)`` each take one ratio step instead
+    of a fresh ``comb``. Every division is checked to be exact, and a row
+    longer than row 0 raises ``ValueError``.
     """
     below = width * (cap - 1)
     low_mask = (1 << below) - 1
     mask = (1 << width) - 1
     rows = tuple(enumerate(range(below - width, -1, -width), 1))  # (j, shift of row j)
     total = 0
-    last = None
+    last = -1
     for key, count in table.items():
         a = key >> below
         low = key & low_mask
         rest = lower.get(low)
         if rest is None:
             rest = lower[low] = syt_count(unpack(low, cap - 1, width))
-        if a != last:
-            last = a
+        if a == last - 1:
+            head, r_head = divmod(head * (a + 1), size - a)
+            denominator, r_den = divmod(denominator * (a + 1), a + cap)
+            if r_head or r_den:
+                raise ArithmeticError(f"inexact binomial step to row 0 = {a}")
+        elif a != last:
             head = comb(size, a)
             denominator = prod(range(a + 1, a + cap))
+        last = a
         numerator = head * rest
         for j, shift in rows:
             factor = a + j - (low >> shift & mask)

@@ -6,6 +6,9 @@ pieces around a different core: ``direct_weighted_sequence`` is the
 library's own layer tables weighted the plain way, as the reference for the
 engine's faster weighting, and ``exact_guess`` is the library's search with
 its modular kernel replaced by fraction-free elimination over the integers.
+The ``fraction_*`` series functions are the Bessel determinant over ordinary
+``Fraction`` coefficients, the reference for the library's integer
+exponential coefficients.
 """
 
 from bisect import bisect_left
@@ -272,3 +275,55 @@ def exact_guess(terms, max_order: int, max_degree: int, holdout: int | None = No
             if all(recurrence_residual(rec, terms, n) == 0 for n in tail):
                 return rec
     return None
+
+
+def fraction_series_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    """Product of two series of ordinary coefficients, truncated to their
+    common length."""
+    size = len(a)
+    assert len(b) == size
+    out = [Fraction(0)] * size
+    for i, x in enumerate(a):
+        if not x:
+            continue
+        for j in range(size - i):
+            y = b[j]
+            if y:
+                out[i + j] += x * y
+    return out
+
+
+def fraction_bessel_I_2x(nu: int, trunc: int) -> list[Fraction]:
+    """I_nu(2x) to degree ``trunc``: x^(2j+nu) has coefficient
+    1/(j! * (j+nu)!)."""
+    coeffs = [Fraction(0)] * (trunc + 1)
+    j = 0
+    while 2 * j + nu <= trunc:
+        coeffs[2 * j + nu] = Fraction(1, factorial(j) * factorial(j + nu))
+        j += 1
+    return coeffs
+
+
+def fraction_series_det(matrix) -> list[Fraction]:
+    """Determinant of a square matrix of ordinary series, by expansion by
+    minors memoized on column subsets."""
+    k = len(matrix)
+    size = len(matrix[0][0])
+    memo = {0: [Fraction(1)] + [Fraction(0)] * (size - 1)}
+
+    def expand(mask: int) -> list[Fraction]:
+        if mask in memo:
+            return memo[mask]
+        row = k - bin(mask).count("1")
+        acc = [Fraction(0)] * size
+        sign = 1
+        for col in range(k):
+            bit = 1 << col
+            if mask & bit:
+                term = fraction_series_mul(matrix[row][col], expand(mask & ~bit))
+                acc = [a + sign * t for a, t in zip(acc, term)]
+                sign = -sign
+        memo[mask] = acc
+        return acc
+
+    return expand((1 << k) - 1)

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -12,13 +12,31 @@ from seqlab.bessel import (
 )
 from seqlab.oracle import brute_count
 
-from helpers import catalan
+from helpers import (
+    catalan,
+    fraction_bessel_I_2x,
+    fraction_series_det,
+    fraction_series_mul,
+)
 
 
 def series(trunc, *coeffs):
     """The series with the given leading coefficients, padded with zeros to
     ``trunc + 1`` of them."""
-    return [Fraction(c) for c in coeffs] + [Fraction(0)] * (trunc + 1 - len(coeffs))
+    return list(coeffs) + [0] * (trunc + 1 - len(coeffs))
+
+
+def egf(coeffs):
+    """Exponential coefficients ``m! * c_m`` of ordinary ones, each an
+    integer."""
+    out = [Fraction(c) * factorial(m) for m, c in enumerate(coeffs)]
+    assert all(c.denominator == 1 for c in out)
+    return [int(c) for c in out]
+
+
+def ordinary(coeffs):
+    """Ordinary coefficients of exponential ones."""
+    return [Fraction(c, factorial(m)) for m, c in enumerate(coeffs)]
 
 
 def add(a, b):
@@ -39,18 +57,26 @@ class TestTruncSeries:
 
 class TestSeriesMul:
     def test_mul_truncates(self):
-        a = series(3, 1, 1)  # 1 + x
-        assert _series_mul(a, a) == series(3, 1, 2, 1)
-        x = series(2, 0, 1)
+        a = egf(series(3, 1, 1))  # 1 + x
+        assert _series_mul(a, a) == egf(series(3, 1, 2, 1))
+        x = egf(series(2, 0, 1))
         assert _series_mul(_series_mul(x, x), x) == series(2)  # x^3 vanishes mod x^3
+
+    @pytest.mark.parametrize("trunc", [0, 3, 10])
+    def test_matches_ordinary_product(self, trunc):
+        a = fraction_bessel_I_2x(0, trunc)
+        b = [Fraction(m + 1) for m in range(trunc + 1)]
+        assert ordinary(_series_mul(egf(a), egf(b))) == fraction_series_mul(a, b)
 
 
 class TestBesselSeries:
     def test_order_zero(self):
-        assert bessel_I_2x(0, 4) == series(4, 1, 0, 1, 0, Fraction(1, 4))
+        assert ordinary(bessel_I_2x(0, 4)) == series(4, 1, 0, 1, 0, Fraction(1, 4))
+        assert bessel_I_2x(0, 4) == [1, 0, 2, 0, 6]
 
     def test_order_one(self):
-        assert bessel_I_2x(1, 3) == series(3, 0, 1, 0, Fraction(1, 2))
+        assert ordinary(bessel_I_2x(1, 3)) == series(3, 0, 1, 0, Fraction(1, 2))
+        assert bessel_I_2x(1, 3) == [0, 1, 0, 3]
 
     def test_order_above_truncation(self):
         assert bessel_I_2x(7, 3) == series(3)
@@ -59,10 +85,14 @@ class TestBesselSeries:
         for nu in range(5):
             s = bessel_I_2x(nu, 12)
             for power, c in enumerate(s):
+                assert isinstance(c, int)
                 j2 = power - nu
                 if j2 >= 0 and j2 % 2 == 0:
                     j = j2 // 2
-                    assert c == Fraction(1, factorial(j) * factorial(j + nu))
+                    assert Fraction(c, factorial(power)) == Fraction(
+                        1, factorial(j) * factorial(j + nu)
+                    )
+                    assert c == comb(power, j)
                 else:
                     assert c == 0
 
@@ -125,6 +155,19 @@ class TestSeriesDet:
             series_det([[series(2, 1), series(3, 1)],
                         [series(3, 1), series(2, 1)]])
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_integer_determinant_matches_fraction_reference(self, k):
+        for trunc in (0, 1, 9, 24):
+            reference = fraction_series_det(
+                [[fraction_bessel_I_2x(abs(i - j), trunc) for j in range(k)] for i in range(k)]
+            )
+            det = series_det(
+                [[bessel_I_2x(abs(i - j), trunc) for j in range(k)] for i in range(k)]
+            )
+            assert all(isinstance(c, int) for c in det)
+            assert det == [c * factorial(m) for m, c in enumerate(reference)]
+            assert bessel_determinant(k, trunc) == reference
+
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_determinant_is_even(self, k):
         det = bessel_determinant(k, 9)
@@ -153,6 +196,12 @@ class TestGesselCheck:
         assert result.passed
         n4 = factorial(4) ** 2 * bessel_determinant(3, 8)[8]
         assert n4 == 23 == brute_count(4, 1, 4)
+
+    @pytest.mark.parametrize("k", [5, 6])
+    def test_k5_k6_to_thirty(self, k):
+        result = gessel_check(k, 30)
+        assert result.passed
+        assert result.report().endswith("PASS (all 31 indices agree)")
 
     def test_failure_reported(self):
         # same counts checked against a determinant one size off

@@ -1,8 +1,14 @@
+import gc
 import random
+import tracemalloc
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from seqlab import oracle
 from seqlab.oracle import brute_count, total_words
+from seqlab.tableaux import avoiders_sequence
 
 from helpers import (
     enumerate_words,
@@ -10,6 +16,8 @@ from helpers import (
     longest_strict_increase,
     multiset_total,
 )
+
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "data"
 
 
 class TestLongestStrictIncrease:
@@ -77,6 +85,56 @@ class TestBruteCount:
             longest_strict_increase(word) < d for word in enumerate_words(r, n)
         )
         assert brute_count(d, r, n) == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(2, 6), r=st.integers(1, 3), data=st.data())
+    def test_memoized_search_equals_filter_count(self, d, r, data):
+        # at most 2520 words
+        n = data.draw(st.integers(0, {1: 6, 2: 4, 3: 3}[r]), label="n")
+        expected = sum(
+            longest_strict_increase(word) < d for word in enumerate_words(r, n)
+        )
+        assert brute_count(d, r, n, budget=None) == expected
+
+    @pytest.mark.parametrize("d,r,n_max", [(5, 2, 8), (4, 2, 8), (4, 3, 5), (6, 2, 6)])
+    def test_engine_past_enumeration_reach(self, d, r, n_max):
+        # (5,2) at n = 8 alone is 81.7 billion words
+        oracle_terms = [brute_count(d, r, n, budget=None) for n in range(n_max + 1)]
+        assert oracle_terms == avoiders_sequence(d, r, n_max)
+        path = REFERENCE / f"d{d}_r{r}.txt"
+        if path.exists():
+            lines = path.read_text().splitlines()
+            terms = [int(line.split()[1]) for line in lines if line.strip() and line[0] != "#"]
+            assert oracle_terms == terms[: n_max + 1]
+
+    def test_memo_lives_for_one_call(self):
+        names = set(vars(oracle))
+        # with the cycle collector off, only the call itself can free the memo
+        gc.disable()
+        tracemalloc.start()
+        try:
+            assert brute_count(5, 2, 7, budget=None) == 307027744
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        # the memo (~5 MB) is gone; what stays is the interpreter's bounded
+        # free list of small tuples
+        assert peak > 3_000_000
+        assert after < peak / 3
+        assert set(vars(oracle)) == names
+
+    @pytest.mark.parametrize("r,n", [(1, 14), (2, 10)])
+    def test_memo_holds_live_prefixes_only(self, r, n):
+        # for d = 2 only the weakly decreasing word counts; every other
+        # decreasing prefix is dead, and there are 2^n of them
+        tracemalloc.start()
+        try:
+            assert brute_count(2, r, n, budget=None) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
     def test_budget_warning(self):
         with pytest.warns(UserWarning, match="budget"):

@@ -340,12 +340,12 @@ class TestFieldWidthBoundaries:
 
     @pytest.mark.parametrize("r", [32767, 32768])
     def test_two_letters_sixteen_bits(self, r):
-        # Weighting these 32769 shapes of 2r cells would take minutes (each
-        # standard count is a 65000-bit binomial), so check the table they
-        # come from: every shape of 2r cells with row 1 <= r, each once.
+        # the table: every shape of 2r cells with row 1 <= r, each once
         last = deque(layer_tables(3, r, 2), maxlen=1).pop()
         expected = {(2 * r - k, k) if k else (2 * r,): 1 for k in range(r + 1)}
         assert list(decoded(last, 2, field_width(r, 2)).items()) == list(expected.items())
+        # and its weighting, where row 0 drops by one from shape to shape
+        assert avoiders_count(3, r, 2) == comb(2 * r, r)
 
     @pytest.mark.parametrize("r", [85, 86])
     def test_three_letters(self, r):
