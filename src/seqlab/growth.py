@@ -3,9 +3,10 @@
 Three pieces: the exact conjectured growth parameters for the avoider
 counts, an empirical fit of those parameters from data, and Richardson
 extrapolation of the limiting constant. Terms can have thousands of digits,
-so every normalization goes through the standard library's ``decimal``
-logarithms at a precision sized from the terms' magnitude, and drops to
-machine floats only at the very end.
+so the fit takes the standard library's ``decimal`` logarithms at a
+precision sized from the terms' magnitude, and the constant is normalized
+exactly in integers, rounded once and extrapolated at a precision sized from
+the ladder; both drop to machine floats only at the very end.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from math import comb
-from typing import Any, Sequence
+from typing import Sequence
 
 from .recurrences import InsufficientTermsError
 
@@ -42,13 +43,8 @@ def conjectured_params(d: int, r: int) -> GrowthParams:
     return GrowthParams(mu=mu, alpha=alpha)
 
 
-def _log_precision(terms: Sequence[int]):
-    """Decimal context for the logs of ``terms`` and all computed from them:
-    ``|log a| < a.bit_length()`` bounds the integer part of each log, and 84
-    spare bits carry the fraction past a float's 53 and past the Richardson
-    ladder's amplification (about 2^18 at stride 8, level 3). The bits are
-    carried as the significant digits that cover them."""
-    bits = max(t.bit_length() for t in terms).bit_length() + 84
+def _precision(bits: int):
+    """Decimal context with the significant digits that cover ``bits`` bits."""
     return localcontext(Context(prec=math.ceil(bits * math.log10(2))))
 
 
@@ -73,7 +69,9 @@ def empirical_growth(terms: Sequence[int]) -> tuple[float, float]:
         raise ValueError("terms must be positive")
     top = len(terms) - 1
     ns = range(max(1, round(top / 2)), top + 1)
-    with _log_precision(terms):
+    # |log a| < a.bit_length() bounds the integer part of each log, and 84
+    # spare bits carry the fraction past a float's 53 and the fit's rounding
+    with _precision(max(t.bit_length() for t in terms).bit_length() + 84):
         logs = [float(Decimal(terms[n]).ln()) for n in ns]
     # normal equations [A^T A | A^T y] of the design rows (n, -log n, 1),
     # solved exactly by Gauss-Jordan (A^T A is positive definite: no pivoting).
@@ -87,27 +85,6 @@ def empirical_growth(terms: Sequence[int]) -> tuple[float, float]:
             if k != i:
                 m[k] = [a - m[k][i] * b for a, b in zip(m[k], m[i])]
     return math.exp(m[0][3]), float(m[1][3])
-
-
-def richardson_extrapolate(samples: Sequence[tuple[int, Any]]) -> Any:
-    """Limit at infinity of a function C + a1/x + ... + ak/x^k from samples
-    at k+1 distinct positive points: exact on ``Fraction`` samples, rounded
-    at the current ``decimal`` context on ``Decimal`` ones.
-
-    This is Lagrange evaluation at 1/x = 0; with k+1 points it cancels the
-    first k correction terms exactly.
-    """
-    total = 0
-    for j, (xj, value) in enumerate(samples):
-        weight = Fraction(1)
-        for l, (xl, _) in enumerate(samples):
-            if l == j:
-                continue
-            if xl == xj:
-                raise ValueError("sample points must be distinct")
-            weight *= Fraction(xj, xj - xl)
-        total += value * weight.numerator / weight.denominator
-    return total
 
 
 @dataclass(frozen=True)
@@ -165,12 +142,15 @@ def estimate_constant(
 ) -> ConstantEstimate:
     """Estimate C in a(n) ~ C * mu^n / n^alpha.
 
-    The normalized sequence c_n is computed in log space; level k then
-    combines c at indices n, n+stride, ..., n+k*stride to cancel the first k
-    inverse-power corrections (consecutive-index elimination -- exact terms
-    at every index are available, so there is no need for index doubling).
-    c_n and the ladder stay in ``Decimal`` at the precision sized from the
-    terms; only ``rows`` and ``estimates`` hold floats.
+    With alpha = p/q in lowest terms, c_n^q = a(n)^q n^p / mu^(qn) is an
+    exact rational, rounded once; c_n is its q-th root. Level k combines c
+    at n, n+s, ..., n+k*s (s = stride) to cancel the first k inverse-power
+    corrections, by Neville's rule for equally spaced points:
+    L_k(n) = ((n + k*s) L_{k-1}(n+s) - n L_{k-1}(n)) / (k*s), L_0 = c.
+    Exact terms at every index are available, so there is no need for index
+    doubling. A step multiplies an error by less than 2*top/s, so the ladder
+    runs in ``Decimal`` at a float's 53 bits, 11 spare bits and that growth
+    per level; only ``rows`` and ``estimates`` hold floats.
     """
     terms = list(terms)
     if any(t <= 0 for t in terms):
@@ -183,26 +163,28 @@ def estimate_constant(
             f"need terms up to index {levels * stride + 1} for {levels} "
             f"levels at stride {stride}; got up to {top}"
         )
-    rows = []
-    with _log_precision(terms):
-        log_mu = Decimal(params.mu).ln()
-        alpha = Decimal(params.alpha.numerator) / params.alpha.denominator
-        c = {
-            n: (Decimal(t).ln() + alpha * Decimal(n).ln() - n * log_mu).exp()
-            for n, t in enumerate(terms[1:], 1)
-        }
-        for n in range(1, top + 1):
-            row: list = [n, float(c[n])]
-            for k in range(1, levels + 1):
-                if n + k * stride <= top:
-                    pts = [(n + j * stride, c[n + j * stride]) for j in range(k + 1)]
-                    row.append(float(richardson_extrapolate(pts)))
-                else:
-                    row.append(None)
-            rows.append(tuple(row))
-    estimates = [rows[top - k * stride - 1][1 + k] for k in range(levels + 1)]
+    bits = 64 + levels * (2 * top // stride).bit_length()
+    p, q = params.alpha.numerator, params.alpha.denominator
+    with _precision(bits):
+        c, mu_q, mu_power = [], params.mu**q, 1
+        for n, t in enumerate(terms[1:], 1):
+            mu_power *= mu_q
+            num, den = t**q * n ** max(p, 0), mu_power * n ** max(-p, 0)
+            shift = max(0, bits + den.bit_length() - num.bit_length())
+            c_q = Decimal((num << shift) // den) / (1 << shift)
+            c.append(c_q.sqrt() if q == 2 else c_q ** (Decimal(1) / q))
+        ladder = [c]
+        for k in range(1, levels + 1):
+            prev, span = ladder[-1], k * stride
+            ladder.append([
+                ((n + span) * prev[n - 1 + stride] - n * prev[n - 1]) / span
+                for n in range(1, len(prev) - stride + 1)
+            ])
+    rows = tuple(
+        (n, *(float(level[n - 1]) if n <= len(level) else None for level in ladder))
+        for n in range(1, top + 1)
+    )
+    estimates = tuple(float(level[-1]) for level in ladder)
     if not all(math.isfinite(v) for v in estimates):
         raise ArithmeticError("normalization produced non-finite estimates")
-    return ConstantEstimate(
-        stride=stride, levels=levels, rows=tuple(rows), estimates=tuple(estimates)
-    )
+    return ConstantEstimate(stride=stride, levels=levels, rows=rows, estimates=estimates)

@@ -8,12 +8,15 @@ engine's faster weighting, and ``exact_guess`` is the library's search with
 its modular kernel replaced by fraction-free elimination over the integers.
 The ``fraction_*`` series functions are the Bessel determinant over ordinary
 ``Fraction`` coefficients, the reference for the library's integer
-exponential coefficients.
+exponential coefficients. ``richardson_extrapolate`` is the general Lagrange
+evaluation at 1/x = 0 with exact ``Fraction`` weights, the reference for the
+library's Neville ladder.
 """
 
 from bisect import bisect_left
 from fractions import Fraction
 from math import comb, factorial, gcd
+from typing import Any, Sequence
 
 from seqlab.partitions import syt_count
 from seqlab.recurrences import PRecurrence, _window_rows, poly_trim, recurrence_residual
@@ -327,3 +330,24 @@ def fraction_series_det(matrix) -> list[Fraction]:
         return acc
 
     return expand((1 << k) - 1)
+
+
+def richardson_extrapolate(samples: Sequence[tuple[int, Any]]) -> Any:
+    """Limit at infinity of a function C + a1/x + ... + ak/x^k from samples
+    at k+1 distinct positive points: exact on ``Fraction`` samples, rounded
+    at the current ``decimal`` context on ``Decimal`` ones.
+
+    This is Lagrange evaluation at 1/x = 0; with k+1 points it cancels the
+    first k correction terms exactly.
+    """
+    total = 0
+    for j, (xj, value) in enumerate(samples):
+        weight = Fraction(1)
+        for l, (xl, _) in enumerate(samples):
+            if l == j:
+                continue
+            if xl == xj:
+                raise ValueError("sample points must be distinct")
+            weight *= Fraction(xj, xj - xl)
+        total += value * weight.numerator / weight.denominator
+    return total

@@ -244,6 +244,15 @@ class TestAsym:
         assert out == ""
         assert err.startswith("error: ")
 
+    def test_deep_ladder_keeps_its_digits(self, capsys, cache):
+        # ten levels at stride 1 amplify rounding by about 2^100; the limit
+        # is 1/sqrt(pi) = 0.564189584
+        assert main(["asym", "--d", "3", "--r", "1", "--nmax", "400", "--levels", "10",
+                     "--stride", "1", "--rows", "0", "--cache-dir", cache]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        (line,) = [l for l in lines if l.startswith("estimates by level: ")]
+        assert line.endswith(", 0.564189584")
+
     @pytest.mark.parametrize("bad", [["--stride", "0"], ["--levels", "-1"], ["--stride", "-2"]])
     def test_bad_ladder_prints_nothing(self, capsys, cache, bad):
         assert main(["asym", "--d", "3", "--r", "1", "--nmax", "40",

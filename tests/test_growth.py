@@ -10,12 +10,11 @@ from seqlab.growth import (
     conjectured_params,
     empirical_growth,
     estimate_constant,
-    richardson_extrapolate,
 )
 from seqlab.recurrences import InsufficientTermsError
 from seqlab.tableaux import avoiders_sequence
 
-from helpers import catalan
+from helpers import catalan, richardson_extrapolate
 
 INV_SQRT_PI = 1 / math.sqrt(math.pi)
 
@@ -150,17 +149,26 @@ class TestEstimateConstant:
         )
         assert all(abs(v - 3) < 1e-9 for v in estimate.estimates)
 
-    def test_ladder_matches_exact_ladder(self):
+    @pytest.mark.parametrize(
+        "count, levels, stride, cells",
+        [
+            (371, 3, 8, 370 + 362 + 354 + 346),
+            # ten levels at stride 1 amplify rounding by about 2^100
+            (401, 10, 1, sum(400 - k for k in range(11))),
+        ],
+        ids=["default-ladder", "deep-ladder"],
+    )
+    def test_ladder_matches_exact_ladder(self, count, levels, stride, cells):
         # Reference: c_n = a(n) n^1.5 / 4^n to K bits by integer square
         # root, then an exact ladder over Fractions. A ladder fed float c_n
         # is off by up to 6e-12 here.
-        terms = [catalan(n) for n in range(371)]
+        terms = [catalan(n) for n in range(count)]
         params = conjectured_params(3, 1)
-        estimate = estimate_constant(terms, params, levels=3, stride=8)
+        estimate = estimate_constant(terms, params, levels=levels, stride=stride)
         K = 256
         c = {
             n: Fraction(math.isqrt(terms[n] ** 2 * n**3 << 2 * K), 4**n << K)
-            for n in range(1, 371)
+            for n in range(1, count)
         }
         checked = 0
         for row in estimate.rows:
@@ -168,15 +176,16 @@ class TestEstimateConstant:
             for k, got in enumerate(row[1:]):
                 if got is None:
                     continue
-                pts = [(n + j * 8, c[n + j * 8]) for j in range(k + 1)]
+                pts = [(n + j * stride, c[n + j * stride]) for j in range(k + 1)]
                 exact = richardson_extrapolate(pts)
                 assert abs(Fraction(got) - exact) <= exact * Fraction(1, 10**14), (n, k)
                 checked += 1
-        assert checked == 370 + 362 + 354 + 346
+        assert checked == cells
 
     def test_precision_sized_from_magnitude(self, monkeypatch):
-        # Logs of 25,000-bit terms need the bit length of that bit length
-        # plus spare bits, not a precision covering every bit of the term.
+        # The fit's logs of 25,000-bit terms need the bit length of that bit
+        # length plus spare bits, not a precision covering every bit of the
+        # term; the constant's ladder takes no logs and is sized from itself.
         mu = 2**1000
         terms = [3 * mu**n for n in range(26)]
         assert terms[20].bit_length() >= 20_000

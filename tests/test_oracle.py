@@ -136,6 +136,10 @@ class TestBruteCount:
             tracemalloc.stop()
         assert peak < 100_000
 
+    def test_words_longer_than_the_recursion_limit(self):
+        # 1100 letters deep: only the decreasing word avoids an increase
+        assert brute_count(2, 1, 1100, budget=None) == 1
+
     def test_budget_warning(self):
         with pytest.warns(UserWarning, match="budget"):
             brute_count(3, 1, 4, budget=10)
