@@ -6,15 +6,16 @@ annihilates a held-out tail it never saw. There is no floating point
 anywhere in this module, and exact integer arithmetic is the only judge, so
 an accepted recurrence is a certificate for the supplied terms, not a fit.
 
-Each system is eliminated modulo the primes of a ladder, and only there.
-Full column rank modulo any prime proves the nullspace over Q is empty. A
-kernel mod p is lifted by rational reconstruction and checked exactly on
-every training window; if every lifted vector passes, the kernel over Q is
-at least as large as the one mod p, which is never larger, so the lift is
-the reduced-echelon basis over Q itself. A prime whose lift fails is
-unlucky or too small for the coefficients, and the next prime, about twice
-as wide, decides instead. Only when the ladder runs out is a pair left
-undecided.
+Each system is eliminated modulo one prime: one prime, lifted; the next
+prime only when the first is unlucky. Full column rank modulo a prime proves
+the nullspace over Q is empty. Otherwise each free column's unique rational
+solution of the pivot rows is lifted p-adically from that elimination and
+checked exactly on every training window; if every lifted vector passes,
+the kernel over Q is at least as large as the one mod p, which is never
+larger, so the lift is the reduced-echelon basis over Q itself. A vector
+that fails a window shows the prime is unlucky, and the next prime of a
+ladder decides instead. A pair is left undecided only when the ladder runs
+out or a lift outgrows its top rung.
 """
 
 from __future__ import annotations
@@ -173,61 +174,93 @@ def extend(rec: PRecurrence, seed: Sequence[int], n_max: int) -> list[int]:
 # Mersenne primes, each with about twice the bits of the one before. A minor
 # of an integer matrix that is nonzero modulo a prime is nonzero over the
 # integers, so the rank over Q is at least the rank mod p: full column rank
-# modulo any of them proves the nullspace is empty.
+# modulo any of them proves the nullspace is empty. One prime, lifted,
+# decides; the next only when the first is unlucky. A lift gives up once its
+# modulus passes the top rung.
 PRIME_LADDER = tuple(2**e - 1 for e in (61, 127, 521, 1279, 2203, 4423, 9689))
 P = PRIME_LADDER[0]
+LIFT_REACH = PRIME_LADDER[-1]
+Elimination = tuple[list[tuple[int, list[int]]], list[tuple[int, list[int], int]], list[int]]
 
 
-def _kernel_mod(rows: Iterable[list[int]], ncols: int, p: int) -> list[list[int]]:
-    """Reduced-echelon basis of the right kernel of ``rows`` modulo ``p``,
-    one vector per free column in ascending order; ``[]`` as soon as the
-    rows reach rank ``ncols``, reading no further.
+def _kernel_mod(rows: Iterable[list[int]], ncols: int, p: int) -> Elimination | None:
+    """Gaussian elimination of ``rows`` modulo ``p``: None as soon as the
+    rows reach rank ``ncols``, reading no further; otherwise the pivots in
+    insertion order, as (column, unit-pivot row) and as (row index,
+    multipliers, inverse), which _lift solves against, and the free columns.
 
     Each row is reduced against an echelon basis of unit-pivot rows, each
     stored from its pivot column on and zero at the pivots of the rows
     inserted before it, so one pass in insertion order clears every pivot.
-    Back-substitution in descending pivot order then clears the later ones.
+    The multipliers of that pass and the inverse that scales the row to a
+    unit pivot are what make the pivot rows one LU factorization.
     """
     basis: list[tuple[int, list[int]]] = []
-    for row in rows:
+    pivots: list[tuple[int, list[int], int]] = []
+    free = list(range(ncols))
+    for index, row in enumerate(rows):
         row = [x % p for x in row]
+        multipliers = []
         for col, tail in basis:
             f = row[col]
+            multipliers.append(f)
             if f:
                 row[col:] = [(x - f * y) % p for x, y in zip(row[col:], tail)]
-        lead = next((j for j, x in enumerate(row) if x), None)
+        lead = next((j for j in free if row[j]), None)
         if lead is None:
             continue
+        free.remove(lead)
         inverse = pow(row[lead], -1, p)
         basis.append((lead, [x * inverse % p for x in row[lead:]]))
+        pivots.append((index, multipliers, inverse))
         if len(basis) == ncols:
-            return []
-    reduced: dict[int, list[int]] = {}
-    for col, tail in sorted(basis, reverse=True):
-        row = [0] * col + tail
-        for later, other in reduced.items():
-            f = row[later]
-            if f:
-                row[later:] = [(x - f * y) % p for x, y in zip(row[later:], other[later:])]
-        reduced[col] = row
-    kernel = []
-    for free in (c for c in range(ncols) if c not in reduced):
-        vec = [0] * ncols
-        vec[free] = 1
-        for col, row in reduced.items():
-            vec[col] = -row[free] % p
-        kernel.append(vec)
-    return kernel
+            return None
+    return basis, pivots, free
 
 
-def _primitive(vec: list[int], p: int) -> list[int]:
+def _lift(rows: list[list[int]], elimination: Elimination, free: int, p: int) -> list[int] | None:
+    """The primitive integer vector, zero at every free column but ``free``,
+    that annihilates the pivot rows (nonsingular on the pivot columns, so
+    it is unique); None once the modulus passes LIFT_REACH without it. Each
+    step of Dixon lifting solves the pivot rows modulo p through the
+    elimination, in O(rank^2), and divides the residual exactly by p;
+    rational reconstruction is tried after 1, 2, 4, ... steps."""
+    basis, pivots, _ = elimination
+    pivot_rows = [rows[index] for index, _, _ in pivots]
+    residual = [-row[free] for row in pivot_rows]
+    solution = [0] * len(rows[0])
+    solution[free] = 1
+    modulus = steps = 1
+    while modulus <= LIFT_REACH:
+        y: list[int] = []  # forward substitution through the multipliers
+        for (_, multipliers, inverse), r in zip(pivots, residual):
+            y.append((r - sum(map(mul, multipliers, y))) * inverse % p)
+        x = [0] * len(solution)  # back substitution through the unit-pivot rows
+        for (col, tail), v in zip(reversed(basis), reversed(y)):
+            x[col] = (v - sum(map(mul, tail, x[col:]))) % p
+        for k, row in enumerate(pivot_rows):
+            residual[k], remainder = divmod(residual[k] - sum(map(mul, row, x)), p)
+            if remainder:
+                raise ArithmeticError("a lifting step left a residual p does not divide")
+        solution = [s + modulus * v for s, v in zip(solution, x)]
+        modulus *= p
+        if steps & (steps - 1) == 0 or modulus > LIFT_REACH:
+            vec = _primitive(solution, modulus)
+            if not any(sum(map(mul, row, vec)) for row in pivot_rows):
+                return vec
+        steps += 1
+    return None
+
+
+def _primitive(vec: list[int], modulus: int) -> list[int]:
     """The primitive integer vector whose entries' ratios reconstruct those
-    of ``vec`` modulo ``p``: each entry as the fraction a/b with |a|, |b| at
-    most isqrt(p // 2), by the half-extended Euclidean algorithm."""
-    bound = isqrt(p // 2)
+    of ``vec`` modulo ``modulus``: each entry as the fraction a/b with |a|,
+    |b| at most isqrt(modulus // 2), by the half-extended Euclidean
+    algorithm."""
+    bound = isqrt(modulus // 2)
     fractions = []
     for x in vec:
-        r0, r1, t0, t1 = p, x, 0, 1
+        r0, r1, t0, t1 = modulus, x, 0, 1
         while r1 > bound:
             q = r0 // r1
             r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
@@ -288,12 +321,13 @@ def guess(
     ``holdout`` terms; a nullspace vector is accepted only if it also
     annihilates every window touching the held-out terms. Pairs with fewer
     training windows than unknowns are skipped -- an underdetermined system
-    always has solutions and proves nothing. The nullspace comes from the
-    prime ladder: a pair of full column rank modulo a prime is rejected
-    with no exact work, and otherwise the first prime whose lifted kernel
-    annihilates every training window gives the basis that exact
-    elimination over Q would (see the module docstring). A pair no prime
-    decides is "undecided" and rejected.
+    always has solutions and proves nothing. The nullspace comes from one
+    prime, lifted; the next prime only when the first is unlucky: a pair of
+    full column rank modulo a prime is rejected with no exact work, and
+    otherwise the kernel lifted from that prime's elimination gives the
+    basis that exact elimination over Q would (see the module docstring).
+    A pair the ladder leaves unlucky, or whose lift outgrows its top rung,
+    is "undecided" and rejected.
 
     The whole search box is available when ``len(terms)`` is at least
     (max_order+1)*(max_degree+1) + holdout + max_order. ``holdout`` defaults
@@ -352,18 +386,26 @@ def _judge(
 ) -> tuple[PRecurrence | None, str]:
     """The first kernel vector of the (order, degree) system that is a
     recurrence annihilating the held-out tail, with the verdict of the
-    furthest check any vector reached."""
+    furthest check any vector reached. The kernel is lifted from one
+    prime's elimination; the next prime only when the first is unlucky."""
     unknowns = (order + 1) * (degree + 1)
     rows = None
     for p in PRIME_LADDER:
         residues = [t % p for t in terms]
-        kernel = _kernel_mod(_window_rows(residues, order, degree, windows), unknowns, p)
-        if not kernel:
+        elimination = _kernel_mod(_window_rows(residues, order, degree, windows), unknowns, p)
+        if elimination is None:
             return None, "rank-full mod p"
         if rows is None:
             rows = list(_window_rows(terms, order, degree, windows))
-        basis = [_primitive(vec, p) for vec in kernel]
-        if all(sum(map(mul, row, vec)) == 0 for vec in basis for row in rows):
+        basis = []
+        for free in elimination[2]:
+            vec = _lift(rows, elimination, free, p)
+            if vec is None:
+                return None, "undecided"
+            if any(sum(map(mul, row, vec)) for row in rows):
+                break  # p is unlucky: the rank over Q exceeds the rank mod p
+            basis.append(vec)
+        else:
             break
     else:
         return None, "undecided"

@@ -176,7 +176,8 @@ def cache_store(
     Terms are append-only facts: storing fewer terms than already cached is
     rejected with a keep-longest notice (the longer record wins), and a
     disagreeing overlap raises CacheError rather than overwriting either
-    side. The write itself is a temp file plus atomic rename.
+    side. The write itself is a temp file plus atomic rename; the temp file
+    is removed whatever interrupts the write.
     """
     directory = resolve_cache_dir(cache_dir)
     directory.mkdir(parents=True, exist_ok=True)
@@ -202,10 +203,12 @@ def cache_store(
         with os.fdopen(fd, "w") as handle:
             handle.write(record_to_bfile(record))
         os.replace(tmp_name, path)
-    except OSError as exc:
+    except BaseException as exc:
         try:
             os.unlink(tmp_name)
         except OSError:
             pass
-        raise CacheError(f"cannot write cache file: {exc}", path=path) from exc
+        if isinstance(exc, OSError):
+            raise CacheError(f"cannot write cache file: {exc}", path=path) from exc
+        raise
     return record

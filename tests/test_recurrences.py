@@ -259,6 +259,18 @@ class TestModularScreen:
         assert found == exact_guess(terms, 2, 1)
         assert found == planted
 
+    @given(st.lists(st.integers(2**1300, 2**1400), min_size=4, max_size=4))
+    @settings(max_examples=5, deadline=None)
+    def test_planted_coefficients_past_four_rungs(self, c):
+        # coefficients of 1300-1400 bits, past the reconstruction bound
+        # isqrt(p // 2) of every rung up to 2^2203 - 1, so the lift from
+        # 2^61 - 1 runs for dozens of steps
+        planted = PRecurrence(((c[0], c[1]), (c[2], c[3]), (-1,)))
+        terms = extend(planted, [1, 1], 29)
+        found = guess(terms, 2, 1)
+        assert found == exact_guess(terms, 2, 1)
+        assert found == planted
+
 
 class TestSurveyRecurrence:
     def test_d5_r2_generates_the_reference_terms(self):

@@ -3,6 +3,7 @@ import logging
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from seqlab import storage
 from seqlab.storage import (
     CacheError,
     SequenceRecord,
@@ -152,6 +153,16 @@ class TestCache:
         cache_store(record(d=5, r=2, terms=(1, 1)), tmp_path)
         names = sorted(p.name for p in tmp_path.iterdir())
         assert names == ["A_d3_r1.bfile", "A_d5_r2.bfile"]
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        # the original error propagates, whatever its type
+        def unwritable(record):
+            raise ValueError("Exceeds the limit (4300 digits) for integer string conversion")
+
+        monkeypatch.setattr(storage, "record_to_bfile", unwritable)
+        with pytest.raises(ValueError, match="4300 digits"):
+            cache_store(record(), tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_big_terms_survive(self, tmp_path):
         big = tuple([1] + [catalan(n) for n in range(200, 204)])
