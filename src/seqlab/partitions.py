@@ -15,6 +15,12 @@ from typing import Iterator
 Partition = tuple[int, ...]
 
 
+def is_partition(shape: Partition) -> bool:
+    """Whether ``shape`` is a partition in the canonical form above."""
+    # weakly decreasing, and the sentinel 1 makes the last part positive
+    return all(a >= b > 0 for a, b in zip(shape, shape[1:] + (1,)))
+
+
 def partitions_upto_length(total: int, max_parts: int) -> Iterator[Partition]:
     """Yield every partition of ``total`` with at most ``max_parts`` parts.
 

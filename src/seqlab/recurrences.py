@@ -180,6 +180,10 @@ def extend(rec: PRecurrence, seed: Sequence[int], n_max: int) -> list[int]:
 PRIME_LADDER = tuple(2**e - 1 for e in (61, 127, 521, 1279, 2203, 4423, 9689))
 P = PRIME_LADDER[0]
 LIFT_REACH = PRIME_LADDER[-1]
+# A word-size prime off the ladder. A reconstructed vector that fails a pivot
+# row modulo it fails that row over Q, so most premature reconstructions are
+# rejected before the costly scaling to integers and the exact check.
+SCREEN_PRIME = 2**64 - 59
 Elimination = tuple[list[tuple[int, list[int]]], list[tuple[int, list[int], int]], list[int]]
 
 
@@ -224,7 +228,10 @@ def _lift(rows: list[list[int]], elimination: Elimination, free: int, p: int) ->
     it is unique); None once the modulus passes LIFT_REACH without it. Each
     step of Dixon lifting solves the pivot rows modulo p through the
     elimination, in O(rank^2), and divides the residual exactly by p;
-    rational reconstruction is tried after 1, 2, 4, ... steps."""
+    rational reconstruction is tried after 1, 2, 4, ... steps. An attempt
+    that fails the first pivot row modulo SCREEN_PRIME is rejected there;
+    the rest are scaled to integers and checked exactly on every pivot
+    row."""
     basis, pivots, _ = elimination
     pivot_rows = [rows[index] for index, _, _ in pivots]
     residual = [-row[free] for row in pivot_rows]
@@ -245,17 +252,19 @@ def _lift(rows: list[list[int]], elimination: Elimination, free: int, p: int) ->
         solution = [s + modulus * v for s, v in zip(solution, x)]
         modulus *= p
         if steps & (steps - 1) == 0 or modulus > LIFT_REACH:
-            vec = _primitive(solution, modulus)
-            if not any(sum(map(mul, row, vec)) for row in pivot_rows):
-                return vec
+            fractions = _reconstruct(solution, modulus)
+            screened_out = pivot_rows and _nonzero_mod_screen(pivot_rows[0], fractions)
+            if not screened_out:
+                vec = _primitive(fractions)
+                if not any(sum(map(mul, row, vec)) for row in pivot_rows):
+                    return vec
         steps += 1
     return None
 
 
-def _primitive(vec: list[int], modulus: int) -> list[int]:
-    """The primitive integer vector whose entries' ratios reconstruct those
-    of ``vec`` modulo ``modulus``: each entry as the fraction a/b with |a|,
-    |b| at most isqrt(modulus // 2), by the half-extended Euclidean
+def _reconstruct(vec: list[int], modulus: int) -> list[tuple[int, int]]:
+    """Each entry of ``vec`` modulo ``modulus`` as a fraction (a, b) with
+    |a|, |b| at most isqrt(modulus // 2), by the half-extended Euclidean
     algorithm."""
     bound = isqrt(modulus // 2)
     fractions = []
@@ -265,6 +274,27 @@ def _primitive(vec: list[int], modulus: int) -> list[int]:
             q = r0 // r1
             r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
         fractions.append((r1, t1))
+    return fractions
+
+
+def _nonzero_mod_screen(row: list[int], fractions: list[tuple[int, int]]) -> bool:
+    """True when sum row_i * a_i / b_i is nonzero modulo SCREEN_PRIME, which
+    proves it nonzero over Q. False when it vanishes there, and also when a
+    denominator does, so the exact check decides."""
+    q = SCREEN_PRIME
+    numerator, denominator = 0, 1
+    for x, (a, b) in zip(row, fractions):
+        b %= q
+        if not b:
+            return False
+        numerator = (numerator * b + denominator * (x % q) * (a % q)) % q
+        denominator = denominator * b % q
+    return numerator != 0
+
+
+def _primitive(fractions: list[tuple[int, int]]) -> list[int]:
+    """The primitive integer vector whose entries' ratios are those of the
+    fractions (a, b)."""
     scale = lcm(*(t for _, t in fractions))
     ints = [r * (scale // t) for r, t in fractions]
     content = gcd(*ints)

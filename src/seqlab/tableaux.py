@@ -23,11 +23,12 @@ for one count or one sequence pass (see ``_weighted_total``).
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 from itertools import accumulate
 from math import comb, prod
 from typing import Iterator
 
-from .partitions import Partition, syt_count
+from .partitions import Partition, is_partition, syt_count
 
 # shape key (see ``pack``) -> number of fillings
 LayerTable = dict[int, int]
@@ -65,6 +66,21 @@ def unpack(key: int, cap: int, width: int) -> Partition:
 def initial_layer() -> LayerTable:
     """Layer 0: one empty filling of the empty shape."""
     return {0: 1}
+
+
+@dataclass
+class Checkpoint:
+    """Layer ``n``'s table, keyed with ``width``-bit fields: where a pass
+    over the layers can resume instead of starting at layer 0."""
+
+    n: int
+    width: int
+    table: LayerTable
+
+    def count(self, d: int, r: int) -> int:
+        """The avoider count a(n) of this layer: its table, weighted, with
+        ``d - 1`` fields per key."""
+        return _weighted_total(self.table, r * self.n, d - 1, self.width, {})
 
 
 def _strip_additions(room: tuple[int, ...], r: int) -> list[tuple[int, ...]]:
@@ -134,20 +150,38 @@ def advance_layer(table: LayerTable, r: int, cap: int, width: int) -> LayerTable
     return dict(items)
 
 
-def layer_tables(d: int, r: int, n: int) -> Iterator[LayerTable]:
+def layer_tables(
+    d: int, r: int, n: int, start: Checkpoint | None = None
+) -> Iterator[LayerTable]:
     """Layer tables 0..n capped at ``d - 1`` rows, keyed by ``pack`` with
     ``d - 1`` fields of ``field_width(r, n)`` bits, each advanced from the
     one before only when it is asked for. This is the one place layers are
-    advanced, and its argument check is the one every count shares."""
+    advanced, and its argument check is the one every count shares.
+
+    With ``start``, a checkpoint at layer ``start.n <= n``, the tables are
+    layers start.n..n instead, the first being the checkpoint's table. Its
+    keys are repacked (``unpack`` then ``pack``) when its width differs from
+    this pass's, as it does when ``n`` needs a wider field; only the layers
+    after it are computed."""
     if d < 2:
         raise ValueError("d must be at least 2")
     if r < 1 or n < 0:
         raise ValueError("need r >= 1 and n >= 0")
     width = field_width(r, n)
+    first, table = 0, initial_layer()
+    if start is not None:
+        if not 0 <= start.n <= n:
+            raise ValueError(f"cannot start layers 0..{n} at layer {start.n}")
+        first, table = start.n, start.table
+        if start.width != width:
+            table = {
+                pack(unpack(key, d - 1, start.width), d - 1, width): count
+                for key, count in table.items()
+            }
     return accumulate(
-        range(n),
+        range(first, n),
         lambda table, _: advance_layer(table, r, d - 1, width),
-        initial=initial_layer(),
+        initial=table,
     )
 
 
@@ -162,8 +196,7 @@ def kostka_uniform(shape: Partition, r: int, n: int) -> int:
     # capped at the shape's own k rows, i.e. d = k + 1: no needed shape is pruned
     cap = max(len(shape), 1)
     tables = layer_tables(cap + 1, r, n)
-    # weakly decreasing, and the sentinel 1 makes the last part positive
-    if not all(a >= b > 0 for a, b in zip(shape, shape[1:] + (1,))):
+    if not is_partition(shape):
         raise ValueError(f"{shape} is not a partition")
     if sum(shape) != r * n:
         raise ValueError(
@@ -233,15 +266,29 @@ def avoiders_count(d: int, r: int, n: int) -> int:
     no strictly increasing subsequence of length ``d``. Only the last table
     is weighted."""
     last = deque(layer_tables(d, r, n), maxlen=1).pop()
-    return _weighted_total(last, r * n, d - 1, field_width(r, n), {})
+    return Checkpoint(n, field_width(r, n), last).count(d, r)
 
 
-def avoiders_sequence(d: int, r: int, n_max: int) -> list[int]:
+def avoiders_sequence(
+    d: int, r: int, n_max: int, start: Checkpoint | None = None
+) -> list[int]:
     """Terms 0..n_max of the avoider counts, from one pass over the layer
-    tables, each one weighted."""
+    tables, each one weighted.
+
+    With ``start``, a checkpoint at a layer whose term the caller already
+    has, the pass resumes from it instead of layer 0 and returns only the
+    terms after it, start.n+1..n_max. ``start`` is then moved on to layer
+    ``n_max``: the checkpoint a later, longer pass resumes from."""
     width = field_width(r, n_max)
     lower: dict[int, int] = {}  # see _weighted_total
-    return [
-        _weighted_total(table, r * i, d - 1, width, lower)
-        for i, table in enumerate(layer_tables(d, r, n_max))
-    ]
+    tables = layer_tables(d, r, n_max, start)
+    first = 0
+    if start is not None:
+        first = start.n + 1
+        table = next(tables)  # the caller has its term
+    terms = []
+    for i, table in enumerate(tables, first):
+        terms.append(_weighted_total(table, r * i, d - 1, width, lower))
+    if start is not None:
+        start.n, start.width, start.table = n_max, width, table
+    return terms

@@ -1,14 +1,16 @@
 import json
+import os
 import re
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
 from seqlab.cli import main
 from seqlab.recurrences import format_recurrence, guess, parse_recurrence, verify
-from seqlab.storage import SequenceRecord, cache_load, cache_store
-from seqlab.tableaux import avoiders_sequence
+from seqlab.storage import SequenceRecord, cache_load, cache_path, cache_store, layer_path
+from seqlab.tableaux import avoiders_sequence, field_width
 
 from helpers import catalan
 
@@ -73,6 +75,117 @@ class TestSeq:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: need nmax >= 0, got -1\n"
+
+
+def reference_terms(name):
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "data" / name
+    return [int(line.split()[1]) for line in path.read_text().splitlines() if line[:1].isdigit()]
+
+
+def cache_files(cache):
+    """Each cache file's bytes, with the b-file's timestamp blanked."""
+    files = {}
+    for entry in sorted(os.scandir(cache), key=lambda e: e.name):
+        text = Path(entry.path).read_text()
+        files[entry.name] = re.sub(r"timestamp=\S+", "timestamp=T", text)
+    return files
+
+
+class TestResume:
+    """A shorter cached record resumes from its stored last layer."""
+
+    def seq(self, capsys, cache, d, r, nmax, *extra):
+        assert main(["seq", "--d", str(d), "--r", str(r), "--nmax", str(nmax),
+                     "--cache-dir", cache, *extra]) == 0
+        return capsys.readouterr()
+
+    def test_stats_count_only_the_new_layers(self, capsys, cache):
+        self.seq(capsys, cache, 3, 1, 15)
+        assert self.seq(capsys, cache, 3, 1, 40, "--stats").err == (
+            "stats: dp layers computed = 25 (resumed from layer 15)\n"
+        )
+
+    def test_resumed_pass_advances_only_the_new_layers(self, capsys, cache, monkeypatch):
+        import seqlab.tableaux
+
+        self.seq(capsys, cache, 4, 2, 10)
+        calls = []
+        original = seqlab.tableaux.advance_layer
+        monkeypatch.setattr(
+            seqlab.tableaux, "advance_layer", lambda *a: calls.append(a) or original(*a)
+        )
+        self.seq(capsys, cache, 4, 2, 20)
+        assert len(calls) == 10
+
+    @pytest.mark.parametrize("d, r, lo, hi, reference", [
+        (3, 1, 15, 40, None), (4, 2, 10, 20, "d4_r2.txt"),
+    ])
+    def test_resumed_run_is_byte_identical_to_a_cold_one(
+        self, capsys, tmp_path, d, r, lo, hi, reference
+    ):
+        cold, warm = str(tmp_path / "cold"), str(tmp_path / "warm")
+        want = self.seq(capsys, cold, d, r, hi).out
+        self.seq(capsys, warm, d, r, lo)
+        assert self.seq(capsys, warm, d, r, hi).out == want
+        assert cache_files(warm) == cache_files(cold)
+        assert sorted(cache_files(warm)) == [f"A_d{d}_r{r}.bfile", f"A_d{d}_r{r}.layer"]
+        terms = reference_terms(reference)[: hi + 1] if reference else [catalan(n) for n in range(hi + 1)]
+        assert want == "".join(f"{t}\n" for t in terms)
+
+    def test_resume_across_a_wider_field(self, capsys, cache):
+        assert (field_width(1, 15), field_width(1, 40)) == (4, 6)
+        self.seq(capsys, cache, 3, 1, 15)
+        header = layer_path(cache, 3, 1).read_text().splitlines()[0]
+        assert header == "# seqlab layer d=3 r=1 n=15 width=4 cap=2"
+        self.seq(capsys, cache, 3, 1, 40)
+        header = layer_path(cache, 3, 1).read_text().splitlines()[0]
+        assert header == "# seqlab layer d=3 r=1 n=40 width=6 cap=2"
+
+    @pytest.mark.parametrize("command", [
+        ["guess"], ["asym"], ["oeis", "--mode", "local", "--dump", "DUMP"],
+    ], ids=["guess", "asym", "oeis"])
+    def test_readers_resume_but_write_nothing(self, capsys, tmp_path, cache, command):
+        dump = tmp_path / "stripped"
+        dump.write_text("A000108 ,1,1,2,5,14,42,\n")
+        command = [str(dump) if arg == "DUMP" else arg for arg in command]
+        self.seq(capsys, cache, 3, 1, 20)
+        before = {e.name: (e.stat().st_size, e.stat().st_mtime_ns) for e in os.scandir(cache)}
+        assert main(command + ["--d", "3", "--r", "1", "--nmax", "30", "--cache-dir", cache, "--stats"]) == 0
+        err = capsys.readouterr().err
+        assert "stats: dp layers computed = 10 (resumed from layer 20)" in err.splitlines()
+        after = {e.name: (e.stat().st_size, e.stat().st_mtime_ns) for e in os.scandir(cache)}
+        assert after == before
+
+    def test_extended_terms_past_the_checkpoint_are_checked(self, capsys, tmp_path, cache):
+        rec_file = tmp_path / "rec.txt"
+        rec_file.write_text("ORDER 1 DEGREE 1 OFFSET 0\n-2 -4\n2 1\n")
+        self.seq(capsys, cache, 3, 1, 20)
+        assert main(["extend", "--d", "3", "--r", "1", "--nmax", "40", "--rec", str(rec_file),
+                     "--store", "--cache-dir", cache]) == 0
+        capsys.readouterr()
+        bfile = cache_path(cache, 3, 1)
+        good = bfile.read_text()
+        # a wrong extended term is caught by the resumed DP's store
+        bfile.write_text(good.replace(f"\n30 {catalan(30)}\n", f"\n30 {catalan(30) + 1}\n"))
+        assert main(["seq", "--d", "3", "--r", "1", "--nmax", "50", "--cache-dir", cache]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "disagree" in err and str(bfile) in err
+        bfile.write_text(good)
+        err = self.seq(capsys, cache, 3, 1, 50, "--stats").err
+        assert err == "stats: dp layers computed = 30 (resumed from layer 20)\n"
+        assert cache_load(3, 1, cache).terms == tuple(catalan(n) for n in range(51))
+
+    def test_corrupt_checkpoint_is_an_error_naming_its_path(self, capsys, cache):
+        self.seq(capsys, cache, 3, 1, 20)
+        path = layer_path(cache, 3, 1)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join([lines[0], "zz 1\n", *lines[2:]]))
+        assert main(["seq", "--d", "3", "--r", "1", "--nmax", "30", "--cache-dir", cache]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: corrupt layer checkpoint: line 2: non-hex field")
+        assert err.rstrip().endswith(f"[{path}]")
 
 
 class TestCountAndOracle:

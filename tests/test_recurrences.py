@@ -1,4 +1,5 @@
 import logging
+from fractions import Fraction
 from math import factorial
 from pathlib import Path
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from seqlab import recurrences
 from seqlab.recurrences import (
     P,
+    SCREEN_PRIME,
     InsufficientTermsError,
     NonIntegerStepError,
     PRecurrence,
@@ -22,6 +24,7 @@ from seqlab.recurrences import (
     recurrence_residual,
     verify,
     _kernel_mod,
+    _nonzero_mod_screen,
     _window_rows,
 )
 from seqlab.tableaux import avoiders_sequence
@@ -270,6 +273,40 @@ class TestModularScreen:
         found = guess(terms, 2, 1)
         assert found == exact_guess(terms, 2, 1)
         assert found == planted
+
+
+class TestLiftScreen:
+    def test_only_the_accepted_reconstruction_is_scaled(self, monkeypatch):
+        # discover-r2's pair: the lift reconstructs after 1, 2, 4, ... steps,
+        # and the screen turns away every attempt before the one that holds
+        calls = []
+        original = recurrences._primitive
+        monkeypatch.setattr(recurrences, "_primitive", lambda *a: calls.append(a) or original(*a))
+        rec = guess(avoiders_sequence(4, 2, 80), 4, 7)
+        assert (rec.order, rec.degree) == (4, 7)
+        assert len(calls) == 1
+
+    @given(
+        st.lists(st.integers(-(10**30), 10**30), min_size=1, max_size=6),
+        st.lists(st.tuples(st.integers(-(10**30), 10**30), st.integers(1, 10**30)), min_size=6, max_size=6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_screen_rejects_only_nonzero_sums(self, row, fractions):
+        exact = sum(Fraction(x * a, b) for x, (a, b) in zip(row, fractions))
+        if _nonzero_mod_screen(row, fractions):
+            assert exact != 0
+        # a zero sum passes: the last fraction is chosen to cancel the rest
+        head = sum((Fraction(x * a, b) for x, (a, b) in zip(row[:-1], fractions)), Fraction(0))
+        cancel = -head / row[-1] if row[-1] else None
+        if cancel is not None and cancel.denominator % SCREEN_PRIME:
+            zeroed = fractions[: len(row) - 1] + [(cancel.numerator, cancel.denominator)]
+            assert not _nonzero_mod_screen(row, zeroed)
+
+    def test_vanishing_denominator_falls_through(self):
+        # 1/q - 1/q + 1 is nonzero, but only the exact check may say so
+        row = [1, 1, 1]
+        assert not _nonzero_mod_screen(row, [(1, SCREEN_PRIME), (-1, SCREEN_PRIME), (1, 1)])
+        assert _nonzero_mod_screen(row, [(1, 2), (-1, 2), (1, 1)])
 
 
 class TestSurveyRecurrence:

@@ -11,10 +11,14 @@ from seqlab.storage import (
     cache_path,
     cache_store,
     format_bfile,
+    layer_load,
+    layer_path,
+    layer_store,
     parse_bfile,
     record_to_bfile,
     resolve_cache_dir,
 )
+from seqlab.tableaux import Checkpoint, avoiders_sequence, initial_layer, pack
 
 from helpers import catalan
 
@@ -168,3 +172,105 @@ class TestCache:
         big = tuple([1] + [catalan(n) for n in range(200, 204)])
         cache_store(record(terms=big), tmp_path)
         assert cache_load(3, 1, tmp_path).terms == big
+
+
+def stored_layer(directory, d=3, r=1, n=12):
+    """The record 0..n and its layer-n checkpoint, both stored."""
+    layer = Checkpoint(0, 1, initial_layer())
+    rec = record(d=d, r=r, terms=(1, *avoiders_sequence(d, r, n, layer)))
+    layer_store(cache_store(rec, directory), layer, directory)
+    return rec, layer
+
+
+def edit_line(text, index, line):
+    lines = text.splitlines(keepends=True)
+    lines[index] = line
+    return "".join(lines)
+
+
+class TestLayerCheckpoint:
+    def test_round_trip(self, tmp_path):
+        rec, layer = stored_layer(tmp_path)
+        assert layer.n == 12
+        assert layer_load(rec, tmp_path) == layer
+        text = layer_path(tmp_path, 3, 1).read_text()
+        assert text.splitlines()[0] == "# seqlab layer d=3 r=1 n=12 width=4 cap=2"
+        assert text.splitlines()[1:] == [f"{k:x} {c:x}" for k, c in layer.table.items()]
+
+    def test_absent_checkpoint(self, tmp_path):
+        cache_store(record(), tmp_path)
+        assert layer_load(record(), tmp_path) is None
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda text: text[: len(text) // 2], "corrupt layer checkpoint"),
+        (lambda text: edit_line(text, 1, "c0 1g\n"), "non-hex"),
+        (lambda text: edit_line(text, 1, f"{pack((5, 7), 2, 4):x} 1\n"), "no partition"),
+        (lambda text: edit_line(text, 1, f"{pack((13,), 2, 4):x} 1\n"), "no partition"),
+        (lambda text: edit_line(text, 1, "c0 0\n"), "not positive"),
+        (lambda text: text.replace("\nc0 1\n", "\nc0 2\n"), "does not weigh"),
+        (lambda text: text + text.splitlines(keepends=True)[-1], "twice"),
+        (lambda text: text.replace("d=3 r=1", "d=4 r=1"), "expected d=3 r=1"),
+        (lambda text: text.replace("width=4", "width=5"), "width"),
+        (lambda text: text.replace(" cap=2", ""), "header fields"),
+        (lambda text: text.replace("n=12", "n=13"), "not among"),
+    ], ids=[
+        "truncated", "bad-hex", "non-partition", "row-sum", "zero-count", "wrong-total",
+        "duplicate", "other-key", "width", "header", "past-the-terms",
+    ])
+    def test_corrupt_checkpoint_reported_with_path(self, tmp_path, corrupt, message):
+        rec, _ = stored_layer(tmp_path)
+        path = layer_path(tmp_path, 3, 1)
+        path.write_text(corrupt(path.read_text()))
+        with pytest.raises(CacheError, match=message) as excinfo:
+            layer_load(rec, tmp_path)
+        assert excinfo.value.path == path
+        assert str(path) in str(excinfo.value)
+
+    def test_checkpoint_must_weigh_to_the_cached_term(self, tmp_path):
+        rec, _ = stored_layer(tmp_path)
+        other = record(terms=rec.terms[:12] + (rec.terms[12] + 1,))
+        with pytest.raises(CacheError, match="does not weigh"):
+            layer_load(other, tmp_path)
+
+    def test_other_key_file_is_rejected(self, tmp_path):
+        rec, _ = stored_layer(tmp_path)
+        stored_layer(tmp_path, d=3, r=2, n=5)
+        layer_path(tmp_path, 3, 2).replace(layer_path(tmp_path, 3, 1))
+        with pytest.raises(CacheError, match="header says d=3 r=2"):
+            layer_load(rec, tmp_path)
+
+    def test_lower_store_keeps_the_higher_checkpoint(self, tmp_path, caplog):
+        rec, _ = stored_layer(tmp_path)
+        kept = layer_path(tmp_path, 3, 1).read_text()
+        lower = Checkpoint(0, 1, initial_layer())
+        avoiders_sequence(3, 1, 8, lower)
+        with caplog.at_level(logging.WARNING, logger="seqlab.storage"):
+            layer_store(rec, lower, tmp_path)
+        assert any("keep-highest" in msg for msg in caplog.messages)
+        assert layer_path(tmp_path, 3, 1).read_text() == kept
+        assert layer_load(rec, tmp_path).n == 12
+
+    def test_unreadable_checkpoint_is_replaced(self, tmp_path):
+        rec, layer = stored_layer(tmp_path)
+        path = layer_path(tmp_path, 3, 1)
+        good = path.read_text()
+        path.write_text("garbage\n")
+        layer_store(rec, layer, tmp_path)
+        assert path.read_text() == good
+
+    def test_checkpoint_ahead_of_its_record_is_replaced(self, tmp_path):
+        # the b-file was removed, so the record stored next is shorter
+        stored_layer(tmp_path, n=12)
+        cache_path(tmp_path, 3, 1).unlink()
+        rec, layer = stored_layer(tmp_path, n=8)
+        assert layer_load(rec, tmp_path) == layer
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        rec, _ = stored_layer(tmp_path)
+        kept = layer_path(tmp_path, 3, 1).read_text()
+        longer = record(terms=(*rec.terms, 0, 0, 0, 0, 0, 0, 0, 0))
+        unwritable = Checkpoint(20, 5, {pack((20,), 2, 5): "not a count"})
+        with pytest.raises(ValueError):
+            layer_store(longer, unwritable, tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["A_d3_r1.bfile", "A_d3_r1.layer"]
+        assert layer_path(tmp_path, 3, 1).read_text() == kept

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from seqlab.partitions import partitions_upto_length, syt_count
 from seqlab.tableaux import (
+    Checkpoint,
     _weighted_total,
     advance_layer,
     avoiders_count,
@@ -173,6 +174,26 @@ class TestLayerTables:
         # in first-seen order; none for a shape only earlier tables have
         lower = [unpack(key, 3, field_width(2, 6))[1:] for key in last]
         assert shapes == list(dict.fromkeys(lower))
+
+
+class TestResume:
+    @pytest.mark.parametrize("d, r, lo, hi", [(3, 1, 15, 40), (4, 2, 0, 6), (5, 2, 4, 12), (4, 3, 5, 5)])
+    def test_resumed_pass_matches_a_cold_one(self, d, r, lo, hi):
+        start = Checkpoint(0, 1, initial_layer())
+        head = avoiders_sequence(d, r, lo, start)
+        assert (start.n, start.width) == (lo, field_width(r, lo))
+        assert start.count(d, r) == avoiders_count(d, r, lo)
+        tail = avoiders_sequence(d, r, hi, start)
+        assert [1, *head, *tail] == avoiders_sequence(d, r, hi)
+        # the table moved on is the cold pass's last table, in its key order
+        last = deque(layer_tables(d, r, hi), maxlen=1).pop()
+        assert (start.n, start.width) == (hi, field_width(r, hi))
+        assert list(start.table.items()) == list(last.items())
+
+    def test_start_must_not_pass_the_last_layer(self):
+        start = Checkpoint(6, field_width(1, 6), {})
+        with pytest.raises(ValueError, match="layer 6"):
+            layer_tables(3, 1, 5, start)
 
 
 class TestWeighting:
