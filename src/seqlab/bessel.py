@@ -7,7 +7,9 @@ counts divided by n!^2 equals a k x k determinant of modified Bessel series
 series truncated after degree ``trunc`` is the list of its ``trunc + 1``
 exponential coefficients ``m! * [x^m]``, which are integers for every series
 here, so the determinant is exact integer arithmetic and the check is an
-identity test, not a numeric comparison.
+identity test, not a numeric comparison. The count side is one resumed pass
+over the layers: each index's count resumes from the previous index's
+layer, so every layer is advanced once.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Sequence
 
-from .tableaux import avoiders_count
+from .tableaux import Checkpoint, avoiders_count, initial_layer
 
 
 def _series_mul(a: list[int], b: list[int]) -> list[int]:
@@ -130,14 +132,20 @@ class GesselCheck:
 def gessel_check(k: int, n_max: int) -> GesselCheck:
     """True result iff n!^2 * [x^(2n)] det(I_(|i-j|)(2x)) equals the count of
     permutations of n with no increasing subsequence longer than k, i.e.
-    avoiders_count(k+1, 1, n), for every n up to n_max."""
+    avoiders_count(k+1, 1, n), for every n up to n_max.
+
+    The counts are one resumed pass: one ``avoiders_count`` per index, each
+    resuming from the checkpoint the one before moved on to layer n - 1, so
+    layers 1..n_max are advanced once each, and each index's last table is
+    weighted and compared on its own."""
     if k < 1 or n_max < 0:
         raise ValueError("need k >= 1 and n_max >= 0")
     det = bessel_determinant(k, 2 * n_max)
+    layer = Checkpoint(0, 1, initial_layer())
     failures = []
     for n in range(n_max + 1):
         det_side = factorial(n) ** 2 * det[2 * n]
-        count_side = avoiders_count(k + 1, 1, n)
+        count_side = avoiders_count(k + 1, 1, n, layer)
         if det_side != count_side:
             failures.append((n, det_side, count_side))
     return GesselCheck(k=k, n_max=n_max, failures=tuple(failures))

@@ -17,13 +17,14 @@ dynamic program capped at d-1 rows from the start -- shapes only grow, so
 taller shapes can be pruned the moment they appear. The standard-filling
 count is the row-length formula split at row 0: a few small-integer
 factors per shape times the count of the rows below it, which is memoized
-for one count or one sequence pass (see ``_weighted_total``).
+for one pass and kept on the pass's checkpoint while the key width stays
+(see ``_weighted_total`` and ``Checkpoint``).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 from math import comb, prod
 from typing import Iterator
@@ -71,16 +72,24 @@ def initial_layer() -> LayerTable:
 @dataclass
 class Checkpoint:
     """Layer ``n``'s table, keyed with ``width``-bit fields: where a pass
-    over the layers can resume instead of starting at layer 0."""
+    over the layers can resume instead of starting at layer 0.
+
+    ``lower`` is the lower-row memo of ``_weighted_total``, keyed like the
+    table at ``width`` bits per field; it is no part of the checkpoint's
+    value, so equality compares only ``n``, ``width`` and ``table``. A pass
+    that moves the checkpoint on reads the memo only when its own width is
+    ``width``, and leaves its own memo in its place, so the next pass at
+    that width counts no lower rows the memo already holds."""
 
     n: int
     width: int
     table: LayerTable
+    lower: dict[int, int] = field(default_factory=dict, compare=False, repr=False)
 
     def count(self, d: int, r: int) -> int:
-        """The avoider count a(n) of this layer: its table, weighted, with
-        ``d - 1`` fields per key."""
-        return _weighted_total(self.table, r * self.n, d - 1, self.width, {})
+        """The avoider count a(n) of this layer: its table, weighted through
+        the memo, with ``d - 1`` fields per key."""
+        return _weighted_total(self.table, r * self.n, d - 1, self.width, self.lower)
 
 
 def _strip_additions(room: tuple[int, ...], r: int) -> list[tuple[int, ...]]:
@@ -218,7 +227,8 @@ def _weighted_total(
     Frobenius' row-length formula splits as ``f(shape) = C(size, a) * prod
     (a - l_j + j) * f(rows 1..) / prod (a + j)``. ``lower`` memoizes ``f(rows
     1..)`` by the key's low ``cap - 1`` fields: the same lower rows recur
-    across layers, so one pass keeps one memo, and a miss calls
+    across layers, so one pass keeps one memo, which its checkpoint carries
+    on while the width stays (see ``Checkpoint``), and a miss calls
     ``syt_count``. What depends on ``a`` alone is computed again only when
     ``a`` changes: in table order row 0 never grows, and where it drops by
     one, ``C(size, a)`` and ``prod (a + j)`` each take one ratio step instead
@@ -261,12 +271,30 @@ def _weighted_total(
     return total
 
 
-def avoiders_count(d: int, r: int, n: int) -> int:
+def _memo(start: Checkpoint | None, width: int) -> dict[int, int]:
+    """The lower-row memo a pass at ``width`` starts with: ``start``'s when
+    its keys have that width, else an empty one."""
+    return start.lower if start is not None and start.width == width else {}
+
+
+def avoiders_count(
+    d: int, r: int, n: int, start: Checkpoint | None = None
+) -> int:
     """Number of words with exactly ``r`` copies of each of 1..n containing
     no strictly increasing subsequence of length ``d``. Only the last table
-    is weighted."""
-    last = deque(layer_tables(d, r, n), maxlen=1).pop()
-    return Checkpoint(n, field_width(r, n), last).count(d, r)
+    is weighted.
+
+    With ``start``, a checkpoint at layer ``start.n <= n``, the pass resumes
+    from it and ``start`` is moved on to layer ``n``, memo included (see
+    ``Checkpoint``): counts of n = 0, 1, 2, ... chained through one
+    checkpoint advance each layer once, in one resumed pass."""
+    width = field_width(r, n)
+    last = deque(layer_tables(d, r, n, start), maxlen=1).pop()
+    lower = _memo(start, width)
+    total = _weighted_total(last, r * n, d - 1, width, lower)
+    if start is not None:
+        start.n, start.width, start.table, start.lower = n, width, last, lower
+    return total
 
 
 def avoiders_sequence(
@@ -278,9 +306,10 @@ def avoiders_sequence(
     With ``start``, a checkpoint at a layer whose term the caller already
     has, the pass resumes from it instead of layer 0 and returns only the
     terms after it, start.n+1..n_max. ``start`` is then moved on to layer
-    ``n_max``: the checkpoint a later, longer pass resumes from."""
+    ``n_max``, memo included (see ``Checkpoint``): the checkpoint a later,
+    longer pass resumes from."""
     width = field_width(r, n_max)
-    lower: dict[int, int] = {}  # see _weighted_total
+    lower = _memo(start, width)  # see _weighted_total
     tables = layer_tables(d, r, n_max, start)
     first = 0
     if start is not None:
@@ -290,5 +319,5 @@ def avoiders_sequence(
     for i, table in enumerate(tables, first):
         terms.append(_weighted_total(table, r * i, d - 1, width, lower))
     if start is not None:
-        start.n, start.width, start.table = n_max, width, table
+        start.n, start.width, start.table, start.lower = n_max, width, table, lower
     return terms

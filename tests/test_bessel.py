@@ -10,6 +10,7 @@ from seqlab.bessel import (
     gessel_check,
     series_det,
 )
+from seqlab.cli import main
 from seqlab.oracle import brute_count
 
 from helpers import (
@@ -214,3 +215,37 @@ class TestGesselCheck:
             if factorial(n) ** 2 * det[2 * n] != avoiders_count(5, 1, n)
         ]
         assert mismatches  # sanity: k=2 does not count d=5 avoiders
+
+    def test_failure_path(self, monkeypatch, capsys):
+        import seqlab.bessel
+
+        original = seqlab.bessel.avoiders_count
+
+        def off_at_seven(d, r, n, start=None):
+            return original(d, r, n, start) + (n == 7)
+
+        monkeypatch.setattr(seqlab.bessel, "avoiders_count", off_at_seven)
+        result = gessel_check(3, 10)
+        assert not result.passed
+        assert [n for n, _, _ in result.failures] == [7]
+        assert result.report().endswith("FAIL (1 of 11 indices disagree)")
+        assert main(["gessel", "--k", "3", "--nmax", "10"]) == 1
+        assert capsys.readouterr().out.endswith("FAIL (1 of 11 indices disagree)\n")
+
+    def test_counts_are_one_resumed_pass(self, monkeypatch):
+        import seqlab.bessel
+        import seqlab.tableaux
+
+        advances, counts = [], []
+        advance = seqlab.tableaux.advance_layer
+        monkeypatch.setattr(
+            seqlab.tableaux, "advance_layer", lambda *a: advances.append(a) or advance(*a)
+        )
+        count = seqlab.bessel.avoiders_count
+        monkeypatch.setattr(
+            seqlab.bessel, "avoiders_count", lambda *a: counts.append(a[2]) or count(*a)
+        )
+        assert gessel_check(5, 30).passed
+        # one count per index, each resuming where the one before stopped
+        assert counts == list(range(31))
+        assert len(advances) == 30

@@ -274,3 +274,20 @@ class TestLayerCheckpoint:
             layer_store(longer, unwritable, tmp_path)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["A_d3_r1.bfile", "A_d3_r1.layer"]
         assert layer_path(tmp_path, 3, 1).read_text() == kept
+
+    def test_resumed_pass_reuses_the_validation_memo(self, tmp_path, monkeypatch):
+        import seqlab.tableaux
+
+        rec, _ = stored_layer(tmp_path, n=330)
+        shapes = []
+        original = seqlab.tableaux.syt_count
+        monkeypatch.setattr(
+            seqlab.tableaux, "syt_count", lambda shape: shapes.append(shape) or original(shape)
+        )
+        layer = layer_load(rec, tmp_path)
+        tail = avoiders_sequence(3, 1, 370, layer)
+        assert [*rec.terms, *tail] == [catalan(n) for n in range(371)]
+        # the width (9 bits) is unchanged, so the pass reads the memo the
+        # check filled: row 1 of 0..165 cells once, by the check, and of
+        # 166..185 once, by the pass
+        assert len(shapes) == len(set(shapes)) == 186

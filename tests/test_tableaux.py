@@ -190,6 +190,30 @@ class TestResume:
         assert (start.n, start.width) == (hi, field_width(r, hi))
         assert list(start.table.items()) == list(last.items())
 
+    @pytest.mark.parametrize("d, r", [(3, 1), (6, 1), (4, 2)])
+    def test_chained_counts_match_one_pass(self, d, r):
+        # n = 0..40 crosses every width change of the pass, so a memo read
+        # at the wrong width would show
+        start = Checkpoint(0, 1, initial_layer())
+        chained = [avoiders_count(d, r, n, start) for n in range(41)]
+        assert chained == avoiders_sequence(d, r, 40)
+        assert (start.n, start.width) == (40, field_width(r, 40))
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_widening_resume_drops_the_memo(self, d):
+        # 4-bit keys to 6-bit ones; with d = 4 the lower rows take two
+        # fields, so a stale key would decode to another shape
+        start = Checkpoint(0, 1, initial_layer())
+        avoiders_sequence(d, 1, 15, start)
+        assert start.width == 4 and start.lower
+        assert avoiders_sequence(d, 1, 40, start) == avoiders_sequence(d, 1, 40)[16:]
+        assert start.width == 6
+        cap = d - 1
+        below = (1 << 6 * (cap - 1)) - 1
+        lows = {key & below for table in list(layer_tables(d, 1, 40))[16:] for key in table}
+        assert set(start.lower) == lows
+        assert all(f == syt_count(unpack(low, cap - 1, 6)) for low, f in start.lower.items())
+
     def test_start_must_not_pass_the_last_layer(self):
         start = Checkpoint(6, field_width(1, 6), {})
         with pytest.raises(ValueError, match="layer 6"):
