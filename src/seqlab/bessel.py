@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Sequence
 
-from .tableaux import Checkpoint, avoiders_count, initial_layer
+from .tableaux import Checkpoint, avoiders_count
 
 
 def _series_mul(a: list[int], b: list[int]) -> list[int]:
@@ -141,7 +141,7 @@ def gessel_check(k: int, n_max: int) -> GesselCheck:
     if k < 1 or n_max < 0:
         raise ValueError("need k >= 1 and n_max >= 0")
     det = bessel_determinant(k, 2 * n_max)
-    layer = Checkpoint(0, 1, initial_layer())
+    layer = Checkpoint()
     failures = []
     for n in range(n_max + 1):
         det_side = factorial(n) ** 2 * det[2 * n]

@@ -34,9 +34,8 @@ from .storage import (
     cache_store,
     format_bfile,
     layer_load,
-    layer_store,
 )
-from .tableaux import Checkpoint, avoiders_count, avoiders_sequence, initial_layer
+from .tableaux import Checkpoint, avoiders_count, avoiders_sequence
 
 FORMATS = ("plain", "bfile", "csv")
 
@@ -67,9 +66,9 @@ def _cached_or_computed(args, n_max: int, store: bool = False) -> list[int]:
     when it covers them, with no DP work. Otherwise the DP resumes from the
     layer checkpoint stored beside a shorter record, which ``layer_load``
     validates first, so only the layers past it are computed; with no
-    checkpoint it starts at layer 0. With ``store`` the terms are stored,
-    and then the last layer as the next checkpoint: one ``key count`` line
-    per shape, for instance 166 lines for (3,1) at n = 330 and 5584 for
+    checkpoint it starts at layer 0. With ``store`` the terms are stored
+    with the last layer as the next checkpoint: one ``key count`` line per
+    shape, for instance 166 lines for (3,1) at n = 330 and 5584 for
     (5,2) at n = 44. Logs for --stats the layers computed and where they
     started. Rejects a negative --nmax before reading the cache, so no
     command's verdict on it depends on what is cached."""
@@ -81,17 +80,14 @@ def _cached_or_computed(args, n_max: int, store: bool = False) -> list[int]:
         return list(record.terms)
     layer = None if record is None else layer_load(record, args.cache_dir)
     if layer is None:
-        layer = Checkpoint(0, 1, initial_layer())
+        layer = Checkpoint()
         log.info("dp layers computed = %d", n_max)
     else:
         log.info("dp layers computed = %d (resumed from layer %d)", n_max - layer.n, layer.n)
     known = (1,) if record is None else record.terms[: layer.n + 1]
     terms = [*known, *avoiders_sequence(args.d, args.r, n_max, layer)]
     if store:
-        stored = cache_store(
-            SequenceRecord(d=args.d, r=args.r, terms=tuple(terms)), args.cache_dir
-        )
-        layer_store(stored, layer, args.cache_dir)
+        cache_store(SequenceRecord(d=args.d, r=args.r, terms=tuple(terms)), args.cache_dir, layer)
     return terms
 
 
@@ -131,7 +127,7 @@ def cmd_check(args) -> int:
         raise ValueError(f"budget {args.budget} admits no index, so nothing would be checked")
     formulas = avoiders_sequence(args.d, args.r, inside - 1)
     failures = 0
-    for n, formula in enumerate(formulas[:inside]):
+    for n, formula in enumerate(formulas):
         oracle = brute_count(args.d, args.r, n, budget=None)
         failures += formula != oracle
         print(f"n={n}: formula={formula} oracle={oracle} {'ok' if formula == oracle else 'MISMATCH'}")
@@ -240,10 +236,12 @@ def build_parser() -> argparse.ArgumentParser:
     fmt_flags = argparse.ArgumentParser(add_help=False)
     fmt_flags.add_argument("--format", choices=FORMATS, default="plain", help="output format (default plain: one value per line)")
 
-    p = sub.add_parser("seq", parents=[cache_flags, fmt_flags], help="compute and cache terms 0..nmax")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--nmax", type=int, required=True)
+    key_flags = argparse.ArgumentParser(add_help=False)
+    key_flags.add_argument("--d", type=int, required=True)
+    key_flags.add_argument("--r", type=int, required=True)
+    key_flags.add_argument("--nmax", type=int, required=True)
+
+    p = sub.add_parser("seq", parents=[cache_flags, fmt_flags, key_flags], help="compute and cache terms 0..nmax")
     p.set_defaults(func=cmd_seq)
 
     p = sub.add_parser("count", help="one exact term")
@@ -259,35 +257,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=10**6, help="word-count budget before warning")
     p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("check", help="formula vs brute force for n = 0..nmax")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--nmax", type=int, required=True)
+    p = sub.add_parser("check", parents=[key_flags], help="formula vs brute force for n = 0..nmax")
     p.add_argument("--budget", type=int, default=10**6, help="skip n whose word count exceeds this")
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("guess", parents=[cache_flags], help="guess a recurrence from terms 0..nmax")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--nmax", type=int, required=True)
+    p = sub.add_parser("guess", parents=[cache_flags, key_flags], help="guess a recurrence from terms 0..nmax")
     p.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER)
     p.add_argument("--max-degree", type=int, default=None, help="default: every degree whose order-1 system is determined by the terms")
     p.add_argument("--holdout", type=int, default=None, help="terms withheld for validation (default: quarter, min 4)")
     p.add_argument("--out", default=None, help="write the recurrence to this file instead of stdout")
     p.set_defaults(func=cmd_guess)
 
-    p = sub.add_parser("extend", parents=[cache_flags, fmt_flags], help="extend a sequence with a recurrence file")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--nmax", type=int, required=True)
+    p = sub.add_parser("extend", parents=[cache_flags, fmt_flags, key_flags], help="extend a sequence with a recurrence file")
     p.add_argument("--rec", required=True, help="recurrence file (format of 'guess')")
     p.add_argument("--store", action="store_true", help="store the extension in the cache")
     p.set_defaults(func=cmd_extend)
 
-    p = sub.add_parser("asym", parents=[cache_flags], help="growth report: conjectured vs fitted parameters, constant ladder")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--nmax", type=int, required=True)
+    p = sub.add_parser("asym", parents=[cache_flags, key_flags], help="growth report: conjectured vs fitted parameters, constant ladder")
     p.add_argument("--rec", default=None, help="optional recurrence file to reach nmax by extension")
     p.add_argument("--levels", type=int, default=3)
     p.add_argument("--stride", type=int, default=8)

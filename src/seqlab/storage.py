@@ -187,16 +187,19 @@ def cache_load(
 
 
 def cache_store(
-    record: SequenceRecord, cache_dir: str | os.PathLike | None = None
+    record: SequenceRecord,
+    cache_dir: str | os.PathLike | None = None,
+    layer: Checkpoint | None = None,
 ) -> SequenceRecord:
-    """Store a record under its (d, r) key; returns whatever is on disk
-    afterwards.
+    """Store a record under its (d, r) key, then ``layer`` as the checkpoint
+    beside the record on disk (see ``_layer_store``), so a checkpoint is
+    never ahead of its terms; returns that record.
 
     Terms are append-only facts: storing fewer terms than already cached is
     rejected with a keep-longest notice (the longer record wins), and a
     disagreeing overlap raises CacheError rather than overwriting either
-    side. The write itself is a temp file plus atomic rename; the temp file
-    is removed whatever interrupts the write.
+    side. Each write is a temp file plus atomic rename; the temp file is
+    removed whatever interrupts the write.
     """
     directory = resolve_cache_dir(cache_dir)
     directory.mkdir(parents=True, exist_ok=True)
@@ -216,8 +219,11 @@ def cache_store(
                 len(existing.terms),
                 len(record.terms),
             )
-            return existing
-    _replace(path, lambda handle: handle.write(record_to_bfile(record)))
+            record = existing
+    if record is not existing:
+        _replace(path, lambda handle: handle.write(record_to_bfile(record)))
+    if layer is not None:
+        _layer_store(record, layer, directory)
     return record
 
 
@@ -320,20 +326,14 @@ def _parse_layer(lines: Iterable[str], record: SequenceRecord) -> Checkpoint:
     return layer
 
 
-def layer_store(
-    record: SequenceRecord, layer: Checkpoint, cache_dir: str | os.PathLike | None = None
-) -> None:
+def _layer_store(record: SequenceRecord, layer: Checkpoint, directory: Path) -> None:
     """Store ``layer`` as the checkpoint beside ``record``, the record on
-    disk after its own store (see ``cache_store``), so a checkpoint is never
-    ahead of its terms. The checkpoint on disk stays when it is at the same
-    or a higher n that ``record`` still covers (keep-highest, as the b-file
-    keeps the longest record); one the record does not cover, or that has
-    no readable header, is replaced. The lines are written from the table's
-    ``items()`` as they come, and the write is a temp file plus atomic
-    rename."""
+    disk. The checkpoint on disk stays when it is at the same or a higher n
+    that ``record`` still covers (keep-highest, as the b-file keeps the
+    longest record); one the record does not cover, or that has no readable
+    header, is replaced. The lines are written from the table's ``items()``
+    as they come."""
     d, r = record.d, record.r
-    directory = resolve_cache_dir(cache_dir)
-    directory.mkdir(parents=True, exist_ok=True)
     path = layer_path(directory, d, r)
     try:
         with open(path) as handle:

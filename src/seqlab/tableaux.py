@@ -17,8 +17,9 @@ dynamic program capped at d-1 rows from the start -- shapes only grow, so
 taller shapes can be pruned the moment they appear. The standard-filling
 count is the row-length formula split at row 0: a few small-integer
 factors per shape times the count of the rows below it, which is memoized
-for one pass and kept on the pass's checkpoint while the key width stays
-(see ``_weighted_total`` and ``Checkpoint``).
+on the pass's ``Checkpoint`` (see ``_weighted_total``). A count's pass
+starts from a checkpoint, layer 0 unless it resumes, and
+``Checkpoint.advance`` is the one way it moves on.
 """
 
 from __future__ import annotations
@@ -72,24 +73,37 @@ def initial_layer() -> LayerTable:
 @dataclass
 class Checkpoint:
     """Layer ``n``'s table, keyed with ``width``-bit fields: where a pass
-    over the layers can resume instead of starting at layer 0.
+    over the layers resumes. A new checkpoint is layer 0, and ``advance``
+    is the one way a pass moves it on.
 
     ``lower`` is the lower-row memo of ``_weighted_total``, keyed like the
     table at ``width`` bits per field; it is no part of the checkpoint's
-    value, so equality compares only ``n``, ``width`` and ``table``. A pass
-    that moves the checkpoint on reads the memo only when its own width is
-    ``width``, and leaves its own memo in its place, so the next pass at
-    that width counts no lower rows the memo already holds."""
+    value, so equality compares only ``n``, ``width`` and ``table``. The
+    memo lasts as long as the width: the next pass at that width counts no
+    lower rows the memo already holds."""
 
-    n: int
-    width: int
-    table: LayerTable
+    n: int = 0
+    width: int = 1
+    table: LayerTable = field(default_factory=initial_layer)
     lower: dict[int, int] = field(default_factory=dict, compare=False, repr=False)
 
     def count(self, d: int, r: int) -> int:
         """The avoider count a(n) of this layer: its table, weighted through
         the memo, with ``d - 1`` fields per key."""
         return _weighted_total(self.table, r * self.n, d - 1, self.width, self.lower)
+
+    def advance(self, d: int, r: int, n: int) -> Iterator[int]:
+        """Move on to layer ``n`` through ``layer_tables``, yielding each new
+        layer's index once this checkpoint holds that layer. When the pass's
+        key width ``field_width(r, n)`` differs from ``width``, the table is
+        repacked and the memo dropped."""
+        width = field_width(r, n)
+        tables = layer_tables(d, r, n, self)
+        self.table = next(tables)  # this layer, repacked when ``width`` differs
+        if width != self.width:
+            self.width, self.lower = width, {}
+        for self.n, self.table in enumerate(tables, self.n + 1):
+            yield self.n
 
 
 def _strip_additions(room: tuple[int, ...], r: int) -> list[tuple[int, ...]]:
@@ -171,7 +185,8 @@ def layer_tables(
     layers start.n..n instead, the first being the checkpoint's table. Its
     keys are repacked (``unpack`` then ``pack``) when its width differs from
     this pass's, as it does when ``n`` needs a wider field; only the layers
-    after it are computed."""
+    after it are computed. ``Checkpoint.advance`` drives such a pass and
+    moves the checkpoint along with it."""
     if d < 2:
         raise ValueError("d must be at least 2")
     if r < 1 or n < 0:
@@ -271,53 +286,26 @@ def _weighted_total(
     return total
 
 
-def _memo(start: Checkpoint | None, width: int) -> dict[int, int]:
-    """The lower-row memo a pass at ``width`` starts with: ``start``'s when
-    its keys have that width, else an empty one."""
-    return start.lower if start is not None and start.width == width else {}
-
-
 def avoiders_count(
     d: int, r: int, n: int, start: Checkpoint | None = None
 ) -> int:
     """Number of words with exactly ``r`` copies of each of 1..n containing
     no strictly increasing subsequence of length ``d``. Only the last table
-    is weighted.
-
-    With ``start``, a checkpoint at layer ``start.n <= n``, the pass resumes
-    from it and ``start`` is moved on to layer ``n``, memo included (see
-    ``Checkpoint``): counts of n = 0, 1, 2, ... chained through one
-    checkpoint advance each layer once, in one resumed pass."""
-    width = field_width(r, n)
-    last = deque(layer_tables(d, r, n, start), maxlen=1).pop()
-    lower = _memo(start, width)
-    total = _weighted_total(last, r * n, d - 1, width, lower)
-    if start is not None:
-        start.n, start.width, start.table, start.lower = n, width, last, lower
-    return total
+    is weighted. With ``start``, a checkpoint at layer ``start.n <= n``, the
+    pass resumes from it and moves it on to layer ``n``."""
+    layer = Checkpoint() if start is None else start
+    deque(layer.advance(d, r, n), maxlen=0)
+    return layer.count(d, r)
 
 
 def avoiders_sequence(
     d: int, r: int, n_max: int, start: Checkpoint | None = None
 ) -> list[int]:
     """Terms 0..n_max of the avoider counts, from one pass over the layer
-    tables, each one weighted.
-
-    With ``start``, a checkpoint at a layer whose term the caller already
-    has, the pass resumes from it instead of layer 0 and returns only the
-    terms after it, start.n+1..n_max. ``start`` is then moved on to layer
-    ``n_max``, memo included (see ``Checkpoint``): the checkpoint a later,
-    longer pass resumes from."""
-    width = field_width(r, n_max)
-    lower = _memo(start, width)  # see _weighted_total
-    tables = layer_tables(d, r, n_max, start)
-    first = 0
-    if start is not None:
-        first = start.n + 1
-        table = next(tables)  # the caller has its term
-    terms = []
-    for i, table in enumerate(tables, first):
-        terms.append(_weighted_total(table, r * i, d - 1, width, lower))
-    if start is not None:
-        start.n, start.width, start.table, start.lower = n_max, width, table, lower
-    return terms
+    tables, each one weighted. With ``start``, a checkpoint at a layer whose
+    term the caller already has, the pass resumes from it, returns only the
+    terms start.n+1..n_max and leaves ``start`` at layer ``n_max``."""
+    layer = Checkpoint() if start is None else start
+    terms = [layer.count(d, r) for _ in layer.advance(d, r, n_max)]
+    # without a start, a(0) = 1 counts the empty word
+    return terms if start is not None else [1, *terms]

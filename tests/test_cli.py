@@ -176,6 +176,16 @@ class TestResume:
         assert err == "stats: dp layers computed = 30 (resumed from layer 20)\n"
         assert cache_load(3, 1, cache).terms == tuple(catalan(n) for n in range(51))
 
+    def test_extend_store_writes_no_checkpoint(self, capsys, cache):
+        # the seed runs the DP to layer 3, but only seq writes checkpoints
+        rec = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "d4_r2.rec"
+        assert main(["extend", "--d", "4", "--r", "2", "--nmax", "30", "--rec", str(rec),
+                     "--store", "--cache-dir", cache]) == 0
+        terms = reference_terms("d4_r2.txt")[:31]
+        assert capsys.readouterr().out == "".join(f"{t}\n" for t in terms)
+        assert sorted(os.listdir(cache)) == ["A_d4_r2.bfile"]
+        assert cache_load(4, 2, cache).terms == tuple(terms)
+
     def test_corrupt_checkpoint_is_an_error_naming_its_path(self, capsys, cache):
         self.seq(capsys, cache, 3, 1, 20)
         path = layer_path(cache, 3, 1)

@@ -255,7 +255,8 @@ class TestModularScreen:
     @settings(max_examples=20, deadline=None)
     def test_planted_coefficients_past_one_prime(self, c):
         # a(n+2) = c0(n) a(n) + c1(n) a(n+1) with positive coefficients above
-        # 2^64, so the terms grow and the kernel vector needs the third prime
+        # 2^64, so the terms grow and the kernel vector, past the
+        # reconstruction bound of 2^61 - 1, is lifted from that prime
         planted = PRecurrence(((c[0], c[1]), (c[2], c[3]), (-1,)))
         terms = extend(planted, [1, 1], 29)
         found = guess(terms, 2, 1)

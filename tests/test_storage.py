@@ -16,12 +16,11 @@ from seqlab.storage import (
     format_bfile,
     layer_load,
     layer_path,
-    layer_store,
     parse_bfile,
     record_to_bfile,
     resolve_cache_dir,
 )
-from seqlab.tableaux import Checkpoint, avoiders_sequence, initial_layer, pack
+from seqlab.tableaux import Checkpoint, avoiders_sequence, pack
 
 from helpers import catalan
 
@@ -190,9 +189,9 @@ class TestCache:
 
 def stored_layer(directory, d=3, r=1, n=12):
     """The record 0..n and its layer-n checkpoint, both stored."""
-    layer = Checkpoint(0, 1, initial_layer())
+    layer = Checkpoint()
     rec = record(d=d, r=r, terms=(1, *avoiders_sequence(d, r, n, layer)))
-    layer_store(cache_store(rec, directory), layer, directory)
+    cache_store(rec, directory, layer)
     return rec, layer
 
 
@@ -256,10 +255,10 @@ class TestLayerCheckpoint:
     def test_lower_store_keeps_the_higher_checkpoint(self, tmp_path, caplog):
         rec, _ = stored_layer(tmp_path)
         kept = layer_path(tmp_path, 3, 1).read_text()
-        lower = Checkpoint(0, 1, initial_layer())
+        lower = Checkpoint()
         avoiders_sequence(3, 1, 8, lower)
         with caplog.at_level(logging.WARNING, logger="seqlab.storage"):
-            layer_store(rec, lower, tmp_path)
+            cache_store(rec, tmp_path, lower)
         assert any("keep-highest" in msg for msg in caplog.messages)
         assert layer_path(tmp_path, 3, 1).read_text() == kept
         assert layer_load(rec, tmp_path).n == 12
@@ -269,7 +268,7 @@ class TestLayerCheckpoint:
         path = layer_path(tmp_path, 3, 1)
         good = path.read_text()
         path.write_text("garbage\n")
-        layer_store(rec, layer, tmp_path)
+        cache_store(rec, tmp_path, layer)
         assert path.read_text() == good
 
     def test_checkpoint_ahead_of_its_record_is_replaced(self, tmp_path):
@@ -285,7 +284,7 @@ class TestLayerCheckpoint:
         longer = record(terms=(*rec.terms, 0, 0, 0, 0, 0, 0, 0, 0))
         unwritable = Checkpoint(20, 5, {pack((20,), 2, 5): "not a count"})
         with pytest.raises(ValueError):
-            layer_store(longer, unwritable, tmp_path)
+            cache_store(longer, tmp_path, unwritable)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["A_d3_r1.bfile", "A_d3_r1.layer"]
         assert layer_path(tmp_path, 3, 1).read_text() == kept
 

@@ -1,4 +1,5 @@
 from collections import deque
+from itertools import islice
 from math import comb, factorial
 from pathlib import Path
 
@@ -177,9 +178,25 @@ class TestLayerTables:
 
 
 class TestResume:
+    def test_new_checkpoint_is_layer_zero(self):
+        assert Checkpoint() == Checkpoint(0, 1, initial_layer())
+        assert list(Checkpoint().advance(3, 1, 5)) == [1, 2, 3, 4, 5]
+
+    def test_pass_stopped_part_way_resumes(self):
+        # the checkpoint holds each layer by the time it is yielded, so a
+        # pass cut after four yields is a checkpoint at layer 4
+        cold = avoiders_sequence(4, 2, 10)
+        layer = Checkpoint()
+        deque(islice(layer.advance(4, 2, 10), 4), maxlen=0)
+        assert layer.n == 4
+        assert layer.count(4, 2) == cold[4]
+        assert avoiders_sequence(4, 2, 10, layer) == cold[5:]
+        last = deque(layer_tables(4, 2, 10), maxlen=1).pop()
+        assert layer == Checkpoint(10, field_width(2, 10), last)
+
     @pytest.mark.parametrize("d, r, lo, hi", [(3, 1, 15, 40), (4, 2, 0, 6), (5, 2, 4, 12), (4, 3, 5, 5)])
     def test_resumed_pass_matches_a_cold_one(self, d, r, lo, hi):
-        start = Checkpoint(0, 1, initial_layer())
+        start = Checkpoint()
         head = avoiders_sequence(d, r, lo, start)
         assert (start.n, start.width) == (lo, field_width(r, lo))
         assert start.count(d, r) == avoiders_count(d, r, lo)
@@ -194,7 +211,7 @@ class TestResume:
     def test_chained_counts_match_one_pass(self, d, r):
         # n = 0..40 crosses every width change of the pass, so a memo read
         # at the wrong width would show
-        start = Checkpoint(0, 1, initial_layer())
+        start = Checkpoint()
         chained = [avoiders_count(d, r, n, start) for n in range(41)]
         assert chained == avoiders_sequence(d, r, 40)
         assert (start.n, start.width) == (40, field_width(r, 40))
@@ -203,7 +220,7 @@ class TestResume:
     def test_widening_resume_drops_the_memo(self, d):
         # 4-bit keys to 6-bit ones; with d = 4 the lower rows take two
         # fields, so a stale key would decode to another shape
-        start = Checkpoint(0, 1, initial_layer())
+        start = Checkpoint()
         avoiders_sequence(d, 1, 15, start)
         assert start.width == 4 and start.lower
         assert avoiders_sequence(d, 1, 40, start) == avoiders_sequence(d, 1, 40)[16:]
