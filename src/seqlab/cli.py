@@ -33,6 +33,7 @@ from .storage import (
     cache_load,
     cache_store,
     format_bfile,
+    int_to_text,
     layer_load,
 )
 from .tableaux import Checkpoint, avoiders_count, avoiders_sequence
@@ -48,10 +49,10 @@ def _emit_terms(terms, fmt: str) -> None:
         print(format_bfile(terms), end="")
     elif fmt == "csv":
         for n, value in enumerate(terms):
-            print(f"{n},{value}")
+            print(f"{n},{int_to_text(value)}")
     else:
         for value in terms:
-            print(value)
+            print(int_to_text(value))
 
 
 class _StatsFormatter(logging.Formatter):
@@ -107,7 +108,7 @@ def cmd_seq(args) -> int:
 
 
 def cmd_count(args) -> int:
-    print(avoiders_count(args.d, args.r, args.n))
+    print(int_to_text(avoiders_count(args.d, args.r, args.n)))
     return 0
 
 
@@ -241,19 +242,18 @@ def build_parser() -> argparse.ArgumentParser:
     key_flags.add_argument("--r", type=int, required=True)
     key_flags.add_argument("--nmax", type=int, required=True)
 
+    term_flags = argparse.ArgumentParser(add_help=False)
+    term_flags.add_argument("--d", type=int, required=True)
+    term_flags.add_argument("--r", type=int, required=True)
+    term_flags.add_argument("--n", type=int, required=True)
+
     p = sub.add_parser("seq", parents=[cache_flags, fmt_flags, key_flags], help="compute and cache terms 0..nmax")
     p.set_defaults(func=cmd_seq)
 
-    p = sub.add_parser("count", help="one exact term")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p = sub.add_parser("count", parents=[term_flags], help="one exact term")
     p.set_defaults(func=cmd_count)
 
-    p = sub.add_parser("oracle", help="one term by brute-force enumeration")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p = sub.add_parser("oracle", parents=[term_flags], help="one term by brute-force enumeration")
     p.add_argument("--budget", type=int, default=10**6, help="word-count budget before warning")
     p.set_defaults(func=cmd_oracle)
 

@@ -28,6 +28,7 @@ import re
 import tempfile
 import time
 from dataclasses import dataclass, field
+from decimal import Decimal
 from pathlib import Path
 from typing import Callable, Iterable, TextIO
 
@@ -79,11 +80,37 @@ class SequenceRecord:
             raise ValueError(f"unknown provenance {self.provenance!r}")
 
 
+_DECIMAL_RE = re.compile(r"[+-]?[0-9]+")
+
+
+def int_to_text(value: int) -> str:
+    """``value`` as exact decimal text at any size: ``str`` below Python's
+    limit on int-to-decimal conversion (4300 digits by default), and past
+    it ``decimal``, which has no such limit, so no interpreter-wide
+    setting is touched."""
+    try:
+        return str(value)
+    except ValueError:
+        return str(Decimal(value))
+
+
+def text_to_int(text: str) -> int:
+    """The int written as ``text``, ASCII decimal digits with an optional
+    sign, at any length (the inverse of ``int_to_text``); anything else
+    raises ValueError."""
+    if _DECIMAL_RE.fullmatch(text) is None:
+        raise ValueError(f"not a decimal integer: {text[:80]!r}")
+    try:
+        return int(text)
+    except ValueError:
+        return int(Decimal(text))
+
+
 def format_bfile(terms: Iterable[int], comments: Iterable[str] = ()) -> str:
     """B-file text: optional leading '#' lines, then ``n a(n)`` from n = 0,
     single space, newline-terminated, values as exact decimal strings."""
     lines = [f"# {c}" for c in comments]
-    lines += [f"{n} {value}" for n, value in enumerate(terms)]
+    lines += [f"{n} {int_to_text(value)}" for n, value in enumerate(terms)]
     return "\n".join(lines) + "\n"
 
 
@@ -124,7 +151,7 @@ def parse_bfile(text: str) -> tuple[list[int], dict[str, str]]:
         if len(fields) != 2:
             raise ValueError(f"line {lineno}: expected 'n a(n)', got {raw!r}")
         try:
-            index, value = int(fields[0]), int(fields[1])
+            index, value = text_to_int(fields[0]), text_to_int(fields[1])
         except ValueError as exc:
             raise ValueError(f"line {lineno}: non-integer field in {raw!r}") from exc
         if index != len(terms):

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import accumulate
 from math import comb, prod
 from typing import Iterator
 
@@ -65,11 +64,6 @@ def unpack(key: int, cap: int, width: int) -> Partition:
     return tuple(rows)
 
 
-def initial_layer() -> LayerTable:
-    """Layer 0: one empty filling of the empty shape."""
-    return {0: 1}
-
-
 @dataclass
 class Checkpoint:
     """Layer ``n``'s table, keyed with ``width``-bit fields: where a pass
@@ -84,7 +78,7 @@ class Checkpoint:
 
     n: int = 0
     width: int = 1
-    table: LayerTable = field(default_factory=initial_layer)
+    table: LayerTable = field(default_factory=lambda: {0: 1})  # the empty filling
     lower: dict[int, int] = field(default_factory=dict, compare=False, repr=False)
 
     def count(self, d: int, r: int) -> int:
@@ -93,16 +87,29 @@ class Checkpoint:
         return _weighted_total(self.table, r * self.n, d - 1, self.width, self.lower)
 
     def advance(self, d: int, r: int, n: int) -> Iterator[int]:
-        """Move on to layer ``n`` through ``layer_tables``, yielding each new
-        layer's index once this checkpoint holds that layer. When the pass's
-        key width ``field_width(r, n)`` differs from ``width``, the table is
-        repacked and the memo dropped."""
-        width = field_width(r, n)
-        tables = layer_tables(d, r, n, self)
-        self.table = next(tables)  # this layer, repacked when ``width`` differs
+        """Move on to layer ``n`` one letter at a time, yielding each new
+        layer's index once this checkpoint holds that layer. The tables are
+        capped at ``d - 1`` rows and keyed with ``field_width(r, n)`` bits
+        per field; when that differs from ``width``, the table is repacked
+        (``unpack`` then ``pack``) and the memo dropped. This is the one
+        place layers are advanced, and its argument check, made at the
+        first step, is the one every count shares."""
+        if d < 2:
+            raise ValueError("d must be at least 2")
+        if r < 1 or n < 0:
+            raise ValueError("need r >= 1 and n >= 0")
+        if not 0 <= self.n <= n:
+            raise ValueError(f"cannot start layers 0..{n} at layer {self.n}")
+        cap, width = d - 1, field_width(r, n)
         if width != self.width:
+            self.table = {
+                pack(unpack(key, cap, self.width), cap, width): count
+                for key, count in self.table.items()
+            }
             self.width, self.lower = width, {}
-        for self.n, self.table in enumerate(tables, self.n + 1):
+        while self.n < n:
+            self.table = advance_layer(self.table, r, cap, width)
+            self.n += 1
             yield self.n
 
 
@@ -173,42 +180,6 @@ def advance_layer(table: LayerTable, r: int, cap: int, width: int) -> LayerTable
     return dict(items)
 
 
-def layer_tables(
-    d: int, r: int, n: int, start: Checkpoint | None = None
-) -> Iterator[LayerTable]:
-    """Layer tables 0..n capped at ``d - 1`` rows, keyed by ``pack`` with
-    ``d - 1`` fields of ``field_width(r, n)`` bits, each advanced from the
-    one before only when it is asked for. This is the one place layers are
-    advanced, and its argument check is the one every count shares.
-
-    With ``start``, a checkpoint at layer ``start.n <= n``, the tables are
-    layers start.n..n instead, the first being the checkpoint's table. Its
-    keys are repacked (``unpack`` then ``pack``) when its width differs from
-    this pass's, as it does when ``n`` needs a wider field; only the layers
-    after it are computed. ``Checkpoint.advance`` drives such a pass and
-    moves the checkpoint along with it."""
-    if d < 2:
-        raise ValueError("d must be at least 2")
-    if r < 1 or n < 0:
-        raise ValueError("need r >= 1 and n >= 0")
-    width = field_width(r, n)
-    first, table = 0, initial_layer()
-    if start is not None:
-        if not 0 <= start.n <= n:
-            raise ValueError(f"cannot start layers 0..{n} at layer {start.n}")
-        first, table = start.n, start.table
-        if start.width != width:
-            table = {
-                pack(unpack(key, d - 1, start.width), d - 1, width): count
-                for key, count in table.items()
-            }
-    return accumulate(
-        range(first, n),
-        lambda table, _: advance_layer(table, r, d - 1, width),
-        initial=table,
-    )
-
-
 def kostka_uniform(shape: Partition, r: int, n: int) -> int:
     """Number of column-strict fillings of ``shape`` using each letter 1..n
     exactly ``r`` times (the Kostka number with uniform content).
@@ -217,17 +188,17 @@ def kostka_uniform(shape: Partition, r: int, n: int) -> int:
     zero) with ``sum(shape) == r * n``; zero when no filling exists.
     """
     shape = tuple(shape)
-    # capped at the shape's own k rows, i.e. d = k + 1: no needed shape is pruned
-    cap = max(len(shape), 1)
-    tables = layer_tables(cap + 1, r, n)
     if not is_partition(shape):
         raise ValueError(f"{shape} is not a partition")
     if sum(shape) != r * n:
         raise ValueError(
             f"shape size {sum(shape)} does not match r*n = {r}*{n} = {r * n}"
         )
-    key = pack(shape, cap, field_width(r, n))
-    return deque(tables, maxlen=1).pop().get(key, 0)
+    # capped at the shape's own k rows, i.e. d = k + 1: no needed shape is pruned
+    cap = max(len(shape), 1)
+    layer = Checkpoint()
+    deque(layer.advance(cap + 1, r, n), maxlen=0)
+    return layer.table.get(pack(shape, cap, layer.width), 0)
 
 
 def _weighted_total(

@@ -20,7 +20,7 @@ from typing import Any, Sequence
 
 from seqlab.partitions import syt_count
 from seqlab.recurrences import PRecurrence, _window_rows, poly_trim, recurrence_residual
-from seqlab.tableaux import field_width, layer_tables, unpack
+from seqlab.tableaux import Checkpoint, field_width, unpack
 
 
 def catalan(n: int) -> int:
@@ -196,8 +196,14 @@ def direct_weighted_sequence(d: int, r: int, n: int) -> list[int]:
     width = field_width(r, n)
     return [
         sum(syt_count(unpack(key, d - 1, width)) * count for key, count in table.items())
-        for table in layer_tables(d, r, n)
+        for table in cold_tables(d, r, n)
     ]
+
+
+def cold_tables(d: int, r: int, n: int) -> list[dict[int, int]]:
+    """Layer tables 0..n of one pass from layer 0, keyed at ``field_width(r, n)``."""
+    layer = Checkpoint()
+    return [layer.table, *(layer.table for _ in layer.advance(d, r, n))]
 
 
 def exact_nullspace_basis(rows: list[list[int]], ncols: int) -> list[list[int]]:

@@ -2,7 +2,9 @@ import json
 import os
 import re
 import threading
+from decimal import Decimal
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -215,6 +217,13 @@ class TestCountAndOracle:
         assert main(["count", "--d", "1", "--r", "1", "--n", "3"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_count_past_the_digit_limit(self, capsys):
+        # no increasing run of 3 from two letters: C(34000, 17000), 10,233 digits
+        assert main(["count", "--d", "3", "--r", "17000", "--n", "2"]) == 0
+        out = capsys.readouterr().out
+        assert out == f"{Decimal(comb(34000, 17000))}\n"
+        assert len(out) == 10234
+
 
 class TestCheck:
     def test_passes_on_grid(self, capsys):
@@ -329,6 +338,23 @@ class TestGuessAndExtend:
         assert stored.provenance == "extended-by-recurrence"
         assert len(stored.terms) == 41
 
+    def test_terms_past_the_digit_limit(self, capsys, tmp_path, cache):
+        # a(n + 1) = 10^100 a(n): a(100) has 10,001 digits, past Python's
+        # default 4300-digit limit on int <-> str
+        rec_file = tmp_path / "rec.txt"
+        rec_file.write_text(f"ORDER 1 DEGREE 0 OFFSET 0\n-{10**100}\n1\n")
+        expected = ["1" + "0" * (100 * n) for n in range(101)]
+        key = ["--d", "3", "--r", "1", "--nmax", "100", "--cache-dir", cache]
+        assert main(["extend", *key, "--rec", str(rec_file), "--store"]) == 0
+        assert capsys.readouterr().out.splitlines() == expected
+        assert cache_load(3, 1, cache).terms[-1] == 10**10000
+        # seq reads the stored terms back, in every format
+        assert main(["seq", *key]) == 0
+        assert capsys.readouterr().out.splitlines() == expected
+        assert main(["seq", *key, "--format", "csv"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == f"100,{expected[-1]}"
+        assert main(["seq", *key, "--format", "bfile"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == f"100 {expected[-1]}"
 
     def test_extend_stats_reports_layers(self, capsys, tmp_path, cache):
         rec_file = tmp_path / "rec.txt"

@@ -2,6 +2,7 @@ import calendar
 import logging
 import re
 import time
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,15 +15,20 @@ from seqlab.storage import (
     cache_path,
     cache_store,
     format_bfile,
+    int_to_text,
     layer_load,
     layer_path,
     parse_bfile,
     record_to_bfile,
     resolve_cache_dir,
+    text_to_int,
 )
 from seqlab.tableaux import Checkpoint, avoiders_sequence, pack
 
 from helpers import catalan
+
+# 10,142 digits: past Python's default 4300-digit limit on int <-> str
+HUGE = 7**12000
 
 terms_strategy = st.lists(
     st.integers(0, 10**40), min_size=0, max_size=30
@@ -101,11 +107,30 @@ class TestBfileFormat:
             "1 1\n",             # wrong start index
             "0 1 9\n",           # extra field
             "0 1\n# late comment\n1 1\n",
+            "0 1\n1 1_000\n",      # int() alone takes these two
+            "0 1\n1 \u0661\n",
+            "0 1\n1 +-1\n",
         ],
     )
     def test_parse_rejects_damage(self, text):
         with pytest.raises(ValueError):
             parse_bfile(text)
+
+    def test_terms_past_the_digit_limit(self):
+        text = format_bfile([1, HUGE, -HUGE])
+        assert text.splitlines()[1:] == [f"1 {Decimal(HUGE)}", f"2 {Decimal(-HUGE)}"]
+        assert len(text.splitlines()[1]) == len("1 ") + 10142
+        assert parse_bfile(text) == ([1, HUGE, -HUGE], {})
+
+    @pytest.mark.parametrize(
+        "value",
+        [10**4300 - 1, 10**4300, -(10**4300)],
+        ids=["4300-digits", "4301-digits", "minus-4301-digits"],
+    )
+    def test_conversions_either_side_of_the_digit_limit(self, value):
+        text = int_to_text(value)
+        assert text == str(Decimal(value))
+        assert text_to_int(text) == value
 
 
 class TestCache:
@@ -182,7 +207,7 @@ class TestCache:
         assert list(tmp_path.iterdir()) == []
 
     def test_big_terms_survive(self, tmp_path):
-        big = tuple([1] + [catalan(n) for n in range(200, 204)])
+        big = tuple([1] + [catalan(n) for n in range(200, 204)] + [HUGE, HUGE**2])
         cache_store(record(terms=big), tmp_path)
         assert cache_load(3, 1, tmp_path).terms == big
 

@@ -14,9 +14,7 @@ from seqlab.tableaux import (
     avoiders_count,
     avoiders_sequence,
     field_width,
-    initial_layer,
     kostka_uniform,
-    layer_tables,
     pack,
     unpack,
 )
@@ -24,6 +22,7 @@ from seqlab.tableaux import (
 from helpers import (
     brute_ssyt_count,
     catalan,
+    cold_tables,
     direct_weighted_sequence,
     hook_length_count,
     is_horizontal_strip,
@@ -66,14 +65,14 @@ class TestPackedKeys:
 
 class TestAdvanceLayer:
     def test_from_empty(self):
-        assert decoded(advance_layer(initial_layer(), 2, 2, W), 2) == {(2,): 1}
+        assert decoded(advance_layer(Checkpoint().table, 2, 2, W), 2) == {(2,): 1}
 
     def test_from_single_row(self):
         table = advance_layer({pack((2,), 2, W): 1}, 2, 2, W)
         assert decoded(table, 2) == {(4,): 1, (3, 1): 1, (2, 2): 1}
 
     def test_keys_reverse_lexicographic(self):
-        table = initial_layer()
+        table = Checkpoint().table
         for _ in range(5):
             table = advance_layer(table, 2, 3, W)
             keys = list(decoded(table, 3))
@@ -82,7 +81,7 @@ class TestAdvanceLayer:
 
     def test_r1_layers_reproduce_standard_counts(self):
         # with one cell per letter, the terminal count is the standard count
-        table = initial_layer()
+        table = Checkpoint().table
         for n in range(1, 9):
             table = advance_layer(table, 1, 3, W)
             for shape, value in decoded(table, 3).items():
@@ -94,7 +93,7 @@ class TestAdvanceLayer:
         # every candidate shape one letter up, kept if it is a horizontal
         # strip over some shape of the layer below
         expected = {(): 1}
-        table = initial_layer()
+        table = Checkpoint().table
         for n in range(1, 7):
             below = expected
             expected = {}
@@ -111,11 +110,11 @@ class TestAdvanceLayer:
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
-            advance_layer(initial_layer(), 0, 2, W)
+            advance_layer(Checkpoint().table, 0, 2, W)
         with pytest.raises(ValueError):
-            advance_layer(initial_layer(), 2, 0, W)
+            advance_layer(Checkpoint().table, 2, 0, W)
         with pytest.raises(ValueError):
-            advance_layer(initial_layer(), 2, 2, 0)
+            advance_layer(Checkpoint().table, 2, 2, 0)
 
     def test_row_outgrowing_its_field(self):
         # a 2-bit field holds rows of up to 3 cells
@@ -130,19 +129,19 @@ class TestAdvanceLayer:
 class TestLayerTables:
     def test_tables_are_repeated_advances(self):
         width = field_width(2, 5)
-        table = initial_layer()
+        table = Checkpoint().table
         expected = [table]
         for _ in range(5):
             table = advance_layer(table, 2, 3, width)
             expected.append(table)
-        assert [decoded(t, 3, width) for t in layer_tables(4, 2, 5)] == [
+        assert [decoded(t, 3, width) for t in cold_tables(4, 2, 5)] == [
             decoded(t, 3, width) for t in expected
         ]
 
-    def test_rejects_bad_args_before_iteration(self):
+    def test_rejects_bad_args(self):
         for d, r, n in [(1, 1, 3), (3, 0, 3), (3, 1, -1)]:
             with pytest.raises(ValueError):
-                layer_tables(d, r, n)
+                next(Checkpoint().advance(d, r, n))
 
     def test_each_consumer_advances_once_per_letter(self, monkeypatch):
         import seqlab.tableaux
@@ -170,7 +169,7 @@ class TestLayerTables:
             seqlab.tableaux, "syt_count", lambda shape: shapes.append(shape) or original(shape)
         )
         avoiders_count(4, 2, 6)
-        last = list(layer_tables(4, 2, 6))[-1]
+        last = cold_tables(4, 2, 6)[-1]
         # one call per distinct lower-row shape (rows 1..) of the last table,
         # in first-seen order; none for a shape only earlier tables have
         lower = [unpack(key, 3, field_width(2, 6))[1:] for key in last]
@@ -179,7 +178,7 @@ class TestLayerTables:
 
 class TestResume:
     def test_new_checkpoint_is_layer_zero(self):
-        assert Checkpoint() == Checkpoint(0, 1, initial_layer())
+        assert Checkpoint() == Checkpoint(0, 1, {0: 1})
         assert list(Checkpoint().advance(3, 1, 5)) == [1, 2, 3, 4, 5]
 
     def test_pass_stopped_part_way_resumes(self):
@@ -191,7 +190,7 @@ class TestResume:
         assert layer.n == 4
         assert layer.count(4, 2) == cold[4]
         assert avoiders_sequence(4, 2, 10, layer) == cold[5:]
-        last = deque(layer_tables(4, 2, 10), maxlen=1).pop()
+        last = cold_tables(4, 2, 10)[-1]
         assert layer == Checkpoint(10, field_width(2, 10), last)
 
     @pytest.mark.parametrize("d, r, lo, hi", [(3, 1, 15, 40), (4, 2, 0, 6), (5, 2, 4, 12), (4, 3, 5, 5)])
@@ -203,7 +202,7 @@ class TestResume:
         tail = avoiders_sequence(d, r, hi, start)
         assert [1, *head, *tail] == avoiders_sequence(d, r, hi)
         # the table moved on is the cold pass's last table, in its key order
-        last = deque(layer_tables(d, r, hi), maxlen=1).pop()
+        last = cold_tables(d, r, hi)[-1]
         assert (start.n, start.width) == (hi, field_width(r, hi))
         assert list(start.table.items()) == list(last.items())
 
@@ -227,14 +226,15 @@ class TestResume:
         assert start.width == 6
         cap = d - 1
         below = (1 << 6 * (cap - 1)) - 1
-        lows = {key & below for table in list(layer_tables(d, 1, 40))[16:] for key in table}
+        lows = {key & below for table in cold_tables(d, 1, 40)[16:] for key in table}
         assert set(start.lower) == lows
         assert all(f == syt_count(unpack(low, cap - 1, 6)) for low, f in start.lower.items())
 
     def test_start_must_not_pass_the_last_layer(self):
         start = Checkpoint(6, field_width(1, 6), {})
         with pytest.raises(ValueError, match="layer 6"):
-            layer_tables(3, 1, 5, start)
+            next(start.advance(3, 1, 5))
+        assert start == Checkpoint(6, field_width(1, 6), {})
 
 
 class TestWeighting:
@@ -403,7 +403,7 @@ class TestFieldWidthBoundaries:
     @pytest.mark.parametrize("r", [32767, 32768])
     def test_two_letters_sixteen_bits(self, r):
         # the table: every shape of 2r cells with row 1 <= r, each once
-        last = deque(layer_tables(3, r, 2), maxlen=1).pop()
+        last = cold_tables(3, r, 2)[-1]
         expected = {(2 * r - k, k) if k else (2 * r,): 1 for k in range(r + 1)}
         assert list(decoded(last, 2, field_width(r, 2)).items()) == list(expected.items())
         # and its weighting, where row 0 drops by one from shape to shape
