@@ -35,6 +35,7 @@ from .storage import (
     format_bfile,
     int_to_text,
     layer_load,
+    text_to_int,
 )
 from .tableaux import Checkpoint, avoiders_count, avoiders_sequence
 
@@ -113,7 +114,7 @@ def cmd_count(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    print(brute_count(args.d, args.r, args.n, budget=args.budget))
+    print(int_to_text(brute_count(args.d, args.r, args.n, budget=args.budget)))
     return 0
 
 
@@ -131,9 +132,9 @@ def cmd_check(args) -> int:
     for n, formula in enumerate(formulas):
         oracle = brute_count(args.d, args.r, n, budget=None)
         failures += formula != oracle
-        print(f"n={n}: formula={formula} oracle={oracle} {'ok' if formula == oracle else 'MISMATCH'}")
+        print(f"n={n}: formula={int_to_text(formula)} oracle={int_to_text(oracle)} {'ok' if formula == oracle else 'MISMATCH'}")
     for n in range(inside, len(totals)):
-        print(f"n={n}: skipped ({totals[n]} words exceed budget {args.budget})")
+        print(f"n={n}: skipped ({int_to_text(totals[n])} words exceed budget {args.budget})")
     verdict = "PASS" if not failures else "FAIL"
     print(f"{verdict} (d={args.d}, r={args.r}, n<={args.nmax}, skipped={len(totals) - inside})")
     return 0 if not failures else 1
@@ -204,7 +205,7 @@ def cmd_gessel(args) -> int:
 
 def cmd_oeis(args) -> int:
     if args.terms:
-        terms = [int(tok) for tok in args.terms.replace(",", " ").split()]
+        terms = [text_to_int(tok) for tok in args.terms.replace(",", " ").split()]
     elif args.d is not None and args.r is not None:
         terms = _cached_or_computed(args, args.nmax)[: args.nmax + 1]
     else:

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
+from .storage import int_to_text, text_to_int
+
 ENV_OEIS_URL = "SEQLAB_OEIS_URL"
 DEFAULT_OEIS_URL = "https://oeis.org/search"
 USER_AGENT = "seqlab/0.1 (exact integer-sequence workbench)"
@@ -78,7 +80,7 @@ def _search_local(query: list[int], dump_path: str | os.PathLike) -> list[OeisMa
             if not line.startswith("A"):
                 continue
             ident, _, data = line.partition(" ")
-            values = [int(tok) for tok in data.strip().split(",") if tok]
+            values = [text_to_int(tok) for tok in data.strip().split(",") if tok]
             run = _find_run(values, query)
             if run >= 0:
                 matches.append(OeisMatch(identifier=ident, name="", offset=run))
@@ -103,7 +105,7 @@ def _search_remote(query: list[int]) -> list[OeisMatch]:
 
     url = os.environ.get(ENV_OEIS_URL) or DEFAULT_OEIS_URL
     _respect_rate_limit()
-    params = urlencode({"q": ",".join(str(t) for t in query), "fmt": "json"})
+    params = urlencode({"q": ",".join(map(int_to_text, query)), "fmt": "json"})
     try:
         request = Request(f"{url}?{params}", headers={"User-Agent": USER_AGENT})
         try:
@@ -138,7 +140,7 @@ def _parse_search_results(body, query: list[int], raw: str = "") -> list[OeisMat
         try:
             number = int(entry["number"])
             name = str(entry.get("name", ""))
-            data = [int(tok) for tok in str(entry.get("data", "")).split(",") if tok]
+            data = [text_to_int(tok) for tok in str(entry.get("data", "")).split(",") if tok]
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedResponseError(
                 f"unexpected result entry: {exc}", payload=raw

@@ -46,14 +46,11 @@ def brute_count(
         raise ValueError("d must be at least 2")
     if r < 1 or n < 0:
         raise ValueError("need r >= 1 and n >= 0")
-    if budget is not None:
-        total = total_words(r, n)
-        if total > budget:
-            warnings.warn(
-                f"(d={d}, r={r}, n={n}) has {total} words, more than the "
-                f"budget of {budget}",
-                stacklevel=2,
-            )
+    if budget is not None and total_words(r, n) > budget:
+        warnings.warn(
+            f"(d={d}, r={r}, n={n}) has more words than the budget of {budget}",
+            stacklevel=2,
+        )
     limit = d - 1
     remaining = [r] * (n + 1)
     tails: list[int] = []

@@ -27,6 +27,8 @@ from operator import mul
 from time import perf_counter
 from typing import Iterable, Iterator, Sequence
 
+from .storage import int_to_text, text_to_int
+
 log = logging.getLogger(__name__)
 
 
@@ -478,7 +480,7 @@ def format_recurrence(rec: PRecurrence) -> str:
     lines = [f"ORDER {rec.order} DEGREE {degree} OFFSET {rec.offset}"]
     for poly in rec.coeffs:
         padded = list(poly) + [0] * (degree + 1 - len(poly))
-        lines.append(" ".join(str(c) for c in padded))
+        lines.append(" ".join(map(int_to_text, padded)))
     return "\n".join(lines) + "\n"
 
 
@@ -495,14 +497,14 @@ def parse_recurrence(text: str) -> PRecurrence:
         or head[4] != "OFFSET"
     ):
         raise ValueError(f"bad recurrence header: {lines[0]!r}")
-    order, degree, offset = int(head[1]), int(head[3]), int(head[5])
+    order, degree, offset = (text_to_int(head[i]) for i in (1, 3, 5))
     if len(lines) != order + 2:
         raise ValueError(
             f"expected {order + 1} coefficient lines, got {len(lines) - 1}"
         )
     polys = []
     for ln in lines[1:]:
-        coeffs = tuple(int(tok) for tok in ln.split())
+        coeffs = tuple(map(text_to_int, ln.split()))
         if len(coeffs) != degree + 1:
             raise ValueError(f"expected {degree + 1} coefficients: {ln!r}")
         polys.append(coeffs)

@@ -30,12 +30,13 @@ import time
 from dataclasses import dataclass, field
 from decimal import Decimal
 from pathlib import Path
-from typing import Callable, Iterable, TextIO
+from typing import Callable, Iterable, TextIO, TypeVar
 
 from .partitions import is_partition
 from .tableaux import Checkpoint, field_width, unpack
 
 log = logging.getLogger(__name__)
+_T = TypeVar("_T")
 
 PROVENANCE_COMPUTED = "computed"
 PROVENANCE_EXTENDED = "extended-by-recurrence"
@@ -114,7 +115,14 @@ def format_bfile(terms: Iterable[int], comments: Iterable[str] = ()) -> str:
     return "\n".join(lines) + "\n"
 
 
-_META_RE = re.compile(r"^#\s*seqlab\s+(.*)$")
+_HEADER_RE = re.compile(r"#\s*seqlab\s+(.*)")
+
+
+def _header_fields(line: str) -> dict[str, str] | None:
+    """The ``key=value`` tokens of a ``# seqlab ...`` header line as a dict
+    (a bare word maps to ''), or None when ``line`` is no such header."""
+    m = _HEADER_RE.fullmatch(line.strip())
+    return None if m is None else dict(token.partition("=")[::2] for token in m.group(1).split())
 
 
 def record_to_bfile(record: SequenceRecord) -> str:
@@ -141,11 +149,7 @@ def parse_bfile(text: str) -> tuple[list[int], dict[str, str]]:
         if line.startswith("#"):
             if terms:
                 raise ValueError(f"line {lineno}: comment after data")
-            m = _META_RE.match(line)
-            if m:
-                for token in m.group(1).split():
-                    key, _, value = token.partition("=")
-                    meta[key] = value
+            meta.update(_header_fields(line) or {})
             continue
         fields = line.split()
         if len(fields) != 2:
@@ -179,38 +183,39 @@ def layer_path(cache_dir: str | os.PathLike, d: int, r: int) -> Path:
     return Path(cache_dir) / f"A_d{d}_r{r}.layer"
 
 
+def _read(path: Path, what: str, parse: Callable[[TextIO], _T]) -> _T | None:
+    """``parse`` of the open file at ``path``, or None when there is no
+    file. An OSError becomes ``cannot read <what>`` and a ValueError
+    ``corrupt <what>``, each a CacheError naming ``path``."""
+    try:
+        with open(path) as handle:
+            return parse(handle)
+    except FileNotFoundError:
+        return None
+    except OSError as exc:
+        raise CacheError(f"cannot read {what}: {exc}", path=path) from exc
+    except ValueError as exc:
+        raise CacheError(f"corrupt {what}: {exc}", path=path) from exc
+
+
 def cache_load(
     d: int, r: int, cache_dir: str | os.PathLike | None = None
 ) -> SequenceRecord | None:
     """Record for (d, r), or None when the key is absent. Corrupt files
     raise CacheError naming the path."""
     path = cache_path(resolve_cache_dir(cache_dir), d, r)
-    try:
-        text = path.read_text()
-    except FileNotFoundError:
-        return None
-    except OSError as exc:
-        raise CacheError(f"cannot read cache file: {exc}", path=path) from exc
-    try:
-        terms, meta = parse_bfile(text)
-    except ValueError as exc:
-        raise CacheError(f"corrupt cache file: {exc}", path=path) from exc
-    for key, expected in (("d", d), ("r", r)):
-        if key in meta and meta[key] != str(expected):
-            raise CacheError(
-                f"cache file metadata says {key}={meta[key]}, expected {expected}",
-                path=path,
-            )
-    try:
-        return SequenceRecord(
-            d=d,
-            r=r,
-            terms=tuple(terms),
-            provenance=meta.get("provenance", PROVENANCE_COMPUTED),
-            timestamp=meta.get("timestamp", _utc_now()),
-        )
-    except ValueError as exc:
-        raise CacheError(f"corrupt cache file: {exc}", path=path) from exc
+
+    def parse(handle: TextIO) -> SequenceRecord:
+        terms, meta = parse_bfile(handle.read())
+        for key, expected in (("d", d), ("r", r)):
+            if key in meta and meta[key] != int_to_text(expected):
+                message = f"cache file metadata says {key}={meta[key]}, expected {expected}"
+                raise CacheError(message, path=path)
+        provenance = meta.get("provenance", PROVENANCE_COMPUTED)
+        timestamp = meta.get("timestamp", _utc_now())
+        return SequenceRecord(d=d, r=r, terms=tuple(terms), provenance=provenance, timestamp=timestamp)
+
+    return _read(path, "cache file", parse)
 
 
 def cache_store(
@@ -274,20 +279,19 @@ def _replace(path: Path, write: Callable[[TextIO], object]) -> None:
 
 
 _LAYER_FIELDS = ("d", "r", "n", "width", "cap")
-_LAYER_RE = re.compile(r"^#\s*seqlab\s+layer\s+(.*)$")
 
 
 def _layer_header(line: str) -> dict[str, int]:
     """The header fields of a layer checkpoint; ValueError unless the line
-    holds exactly d, r, n, width and cap, as decimal ints."""
-    m = _LAYER_RE.match(line.strip())
-    if m is None:
+    is a ``# seqlab layer`` header holding exactly d, r, n, width and cap,
+    as decimal ints."""
+    fields = _header_fields(line)
+    if fields is None or fields.pop("layer", None) != "":
         raise ValueError(f"line 1: expected a '# seqlab layer' header, got {line[:80]!r}")
-    fields = dict(token.partition("=")[::2] for token in m.group(1).split())
     if sorted(fields) != sorted(_LAYER_FIELDS):
         raise ValueError(f"line 1: header fields are {sorted(fields)}, expected {list(_LAYER_FIELDS)}")
     try:
-        return {key: int(value) for key, value in fields.items()}
+        return {key: text_to_int(value) for key, value in fields.items()}
     except ValueError as exc:
         raise ValueError(f"line 1: non-integer header field in {line[:80]!r}") from exc
 
@@ -304,15 +308,7 @@ def layer_load(
     and a weighted total equal to the cached a(n). Anything else raises
     CacheError naming the path."""
     path = layer_path(resolve_cache_dir(cache_dir), record.d, record.r)
-    try:
-        with open(path) as handle:
-            return _parse_layer(handle, record)
-    except FileNotFoundError:
-        return None
-    except OSError as exc:
-        raise CacheError(f"cannot read layer checkpoint: {exc}", path=path) from exc
-    except ValueError as exc:
-        raise CacheError(f"corrupt layer checkpoint: {exc}", path=path) from exc
+    return _read(path, "layer checkpoint", lambda handle: _parse_layer(handle, record))
 
 
 def _parse_layer(lines: Iterable[str], record: SequenceRecord) -> Checkpoint:

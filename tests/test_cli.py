@@ -4,7 +4,7 @@ import re
 import threading
 from decimal import Decimal
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from math import comb
+from math import comb, factorial
 from pathlib import Path
 
 import pytest
@@ -249,6 +249,14 @@ class TestCheck:
         assert out == ""
         assert err.startswith("error: ")
 
+    def test_word_counts_past_the_digit_limit(self, capsys):
+        # 1559! words at n = 1559: 4303 digits
+        assert main(["check", "--d", "3", "--r", "1", "--nmax", "1559"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1561
+        assert lines[-1] == "PASS (d=3, r=1, n<=1559, skipped=1550)"
+        assert lines[1559] == f"n=1559: skipped ({Decimal(factorial(1559))} words exceed budget 1000000)"
+
     def test_one_dp_pass(self, capsys, monkeypatch):
         import seqlab.tableaux
 
@@ -436,6 +444,28 @@ class TestOeisCommand:
         assert main(["oeis", "--mode", "local", "--dump", str(dump),
                      "--terms", "1,2,5,14"]) == 0
         assert "A000108 offset=1" in capsys.readouterr().out
+
+    def test_query_past_the_digit_limit(self, capsys, tmp_path):
+        nines = "9" * 5000
+        dump = tmp_path / "stripped"
+        dump.write_text(f"A000108 ,1,1,2,5,14,42,\nA000001 ,2,1,{nines},3,\n")
+        assert main(["oeis", "--mode", "local", "--dump", str(dump),
+                     "--terms", f"1,{nines}"]) == 0
+        assert capsys.readouterr().out == "A000001 offset=1\n"
+
+    @pytest.mark.parametrize("data, terms, bad", [
+        ("1,1,2,5,", "1,1_000", "1_000"),
+        ("1,1_000,2,", "1,2", "1_000"),
+        ("1,\u0661,2,", "1,2", "\u0661"),
+    ], ids=["query-underscore", "dump-underscore", "dump-arabic-indic"])
+    def test_non_decimal_text_exits_one(self, capsys, tmp_path, data, terms, bad):
+        # int() alone reads every one of these
+        dump = tmp_path / "stripped"
+        dump.write_text(f"A000108 ,1,1,2,5,14,42,\nA000001 ,{data}\n")
+        assert main(["oeis", "--mode", "local", "--dump", str(dump), "--terms", terms]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and bad in err
 
     def test_missing_dump_exits_one(self, capsys, tmp_path):
         assert main(["oeis", "--mode", "local", "--dump",

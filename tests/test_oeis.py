@@ -181,6 +181,15 @@ class TestRemoteLookup:
         assert oeis_lookup([1, 2, 3], mode="remote") == []
         assert handler.last_request.path == "/search?q=1%2C2%2C3&fmt=json"
 
+    def test_query_past_the_digit_limit(self, fixture_server, capsys):
+        nines = "9" * 5000
+        handler = fixture_server(
+            json.dumps({"results": [{"number": 1, "name": "Nines", "data": f"2,1,{nines},3"}]}).encode()
+        )
+        assert main(["oeis", "--terms", f"1,{nines}"]) == 0
+        assert capsys.readouterr().out == "A000001 offset=1 Nines\n"
+        assert handler.last_request.path == f"/search?q=1%2C{nines}&fmt=json"
+
     def test_null_results(self, fixture_server):
         fixture_server(json.dumps({"results": None}).encode())
         assert oeis_lookup([1, 2, 3], mode="remote") == []

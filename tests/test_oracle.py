@@ -1,6 +1,7 @@
 import gc
 import random
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
@@ -143,6 +144,13 @@ class TestBruteCount:
     def test_budget_warning(self):
         with pytest.warns(UserWarning, match="budget"):
             brute_count(3, 1, 4, budget=10)
+
+    def test_budget_warning_past_the_digit_limit(self):
+        # 1559! words, 4303 digits: the warning names the budget, not the count
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UserWarning, match="more words than the budget of 10"):
+                brute_count(3, 1, 1559, budget=10)
 
     def test_no_warning_when_disabled(self):
         import warnings

@@ -342,6 +342,25 @@ class TestTextFormat:
         text = format_recurrence(CATALAN_REC)
         assert format_recurrence(parse_recurrence(text)) == text
 
+    def test_round_trip_past_the_digit_limit(self):
+        # a 4301-digit coefficient: past Python's 4300-digit int <-> str limit
+        rec = PRecurrence(((-(10**4300), 3), (1,)))
+        text = format_recurrence(rec)
+        assert len(text.splitlines()[1]) == len("-") + 4301 + len(" 3")
+        assert parse_recurrence(text) == rec
+        assert format_recurrence(parse_recurrence(text)) == text
+
+    @pytest.mark.parametrize("text", [
+        "ORDER 1 DEGREE 0 OFFSET 1_000\n1\n1\n",
+        "ORDER \u0661 DEGREE 0 OFFSET 0\n1\n1\n",
+        "ORDER 1 DEGREE 0 OFFSET 0\n1_000\n1\n",
+        "ORDER 1 DEGREE 0 OFFSET 0\n1\n\u0661\n",
+    ], ids=["header-underscore", "header-arabic-indic", "coeff-underscore", "coeff-arabic-indic"])
+    def test_parse_rejects_damage(self, text):
+        # int() alone reads every one of these
+        with pytest.raises(ValueError, match="not a decimal integer"):
+            parse_recurrence(text)
+
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_recurrence("")

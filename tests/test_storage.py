@@ -183,6 +183,21 @@ class TestCache:
         assert excinfo.value.path == path
         assert str(path) in str(excinfo.value)
 
+    @pytest.mark.parametrize("suffix, message", [
+        ("bfile", "cannot read cache file"),
+        ("layer", "cannot read layer checkpoint"),
+    ])
+    def test_unreadable_file_reported_with_path(self, tmp_path, suffix, message):
+        # a directory where the file belongs: opening it is an OSError
+        stored_layer(tmp_path)
+        path = tmp_path / f"A_d3_r1.{suffix}"
+        path.unlink()
+        path.mkdir()
+        with pytest.raises(CacheError, match=message) as excinfo:
+            layer_load(cache_load(3, 1, tmp_path), tmp_path)
+        assert excinfo.value.path == path
+        assert str(path) in str(excinfo.value)
+
     def test_key_metadata_mismatch_detected(self, tmp_path):
         cache_store(record(d=3, r=1), tmp_path)
         src = cache_path(tmp_path, 3, 1)
@@ -251,9 +266,10 @@ class TestLayerCheckpoint:
         (lambda text: text.replace("width=4", "width=5"), "width"),
         (lambda text: text.replace(" cap=2", ""), "header fields"),
         (lambda text: text.replace("n=12", "n=13"), "not among"),
+        (lambda text: text.replace("n=12", "n=1_2"), "non-integer header field"),
     ], ids=[
         "truncated", "bad-hex", "non-partition", "row-sum", "zero-count", "wrong-total",
-        "duplicate", "other-key", "width", "header", "past-the-terms",
+        "duplicate", "other-key", "width", "header", "past-the-terms", "underscore-header",
     ])
     def test_corrupt_checkpoint_reported_with_path(self, tmp_path, corrupt, message):
         rec, _ = stored_layer(tmp_path)
