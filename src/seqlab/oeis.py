@@ -163,8 +163,9 @@ def oeis_lookup(
     """Sequences holding ``terms`` as a contiguous run: from the
     'stripped'-format dump at ``dump_path`` in mode 'local' (no names; raises
     FileNotFoundError when the dump is absent), or from the search API in
-    mode 'remote'."""
-    query = [int(t) for t in terms]
+    mode 'remote'. A term given as text is read by ``storage.text_to_int``,
+    so ``'1_000'`` or ``' 1000 '`` raise ValueError."""
+    query = [text_to_int(t) if isinstance(t, str) else t for t in terms]
     if not query:
         raise ValueError("empty query")
     if mode == "local":

@@ -9,11 +9,11 @@ explicit argument, the SEQLAB_CACHE environment variable, or ``./.seqlab``:
 - ``A_d<d>_r<r>.layer``: the DP's layer table at some n that the b-file
   covers, written by ``seq`` after its b-file. One header line
   ``# seqlab layer d=.. r=.. n=.. width=.. cap=..`` (``cap = d - 1`` fields
-  of ``width`` bits per key, see ``tableaux.pack``), then one ``key count``
-  line per shape, both in hex: linear-time to convert and free of the
-  4300-digit limit on decimal ints. It costs one line per shape of that
-  layer (166 for (3,1) at n = 330, 5584 for (5,2) at n = 44, 337,681 for
-  (5,2) at n = 180) and one weighting of it to check when read.
+  of ``width`` bits per key, see ``pack``), then one ``key count`` line per
+  shape in descending key order, both in hex: linear-time to convert and
+  free of the 4300-digit limit on decimal ints. It costs one line per shape
+  of that layer (166 for (3,1) at n = 330, 5584 for (5,2) at n = 44, 337,681
+  for (5,2) at n = 180) and one weighting of it to check when read.
 
 Writes go through a temp file and an atomic rename, so concurrent runs can
 share a cache directory without corrupting it. A store keeps the longer
@@ -29,11 +29,12 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from decimal import Decimal
+from itertools import count as step_from
 from pathlib import Path
-from typing import Callable, Iterable, TextIO, TypeVar
+from typing import Callable, Iterable, Iterator, TextIO, TypeVar
 
-from .partitions import is_partition
-from .tableaux import Checkpoint, field_width, unpack
+from .partitions import Partition, is_partition
+from .tableaux import Checkpoint, LayerTable
 
 log = logging.getLogger(__name__)
 _T = TypeVar("_T")
@@ -278,6 +279,45 @@ def _replace(path: Path, write: Callable[[TextIO], object]) -> None:
         raise
 
 
+def field_width(r: int, n: int) -> int:
+    """Bits per row in the keys of a layer-n checkpoint: enough for the
+    longest row that layer can have, ``r * n`` cells."""
+    return max(1, (r * n).bit_length())
+
+
+def pack(shape: Partition, cap: int, width: int) -> int:
+    """The key of ``shape``: ``cap`` fields of ``width`` bits, row 0 in the
+    most significant field and a zero field for every missing row.
+    Descending key order is reverse-lexicographic order on shapes, and
+    adding the key of a strip's row-by-row cell counts to a shape's key
+    gives the key of the grown shape."""
+    key = 0
+    for part in shape:
+        key = key << width | part
+    return key << width * (cap - len(shape))
+
+
+def unpack(key: int, cap: int, width: int) -> Partition:
+    """The partition whose key is ``key`` (the inverse of ``pack``)."""
+    rows = []
+    shift = width * (cap - 1)
+    while key:  # until only empty rows are left
+        rows.append(key >> shift)
+        key &= (1 << shift) - 1
+        shift -= width
+    return tuple(rows)
+
+
+def _keyed(table: LayerTable, size: int, cap: int, width: int) -> Iterator[tuple[int, int]]:
+    """``(key, count)`` for each shape of a table of shapes with ``size``
+    cells. Each step along a run moves a cell from row 0 to row 1: one key step."""
+    step = (1 << width * (cap - 1)) - (1 << width * (cap - 2)) if cap > 1 else 0
+    for part, run in table.items():
+        head = part[0] if part else 0
+        key = pack((size - sum(part) - head, head, *part)[:cap], cap, width)
+        yield from zip(step_from(key, -step), run)
+
+
 _LAYER_FIELDS = ("d", "r", "n", "width", "cap")
 
 
@@ -302,11 +342,12 @@ def layer_load(
     """The layer checkpoint stored beside ``record``, or None when there is
     none. The file comes from outside the program, so before anything
     resumes from it, it must hold: a header with the record's d and r,
-    ``cap = d - 1`` and the width ``field_width(r, n)`` that a pass to n
-    uses; ``n < len(record.terms)``; keys that decode to partitions of
-    ``r * n`` with at most ``cap`` rows, each once, with positive counts;
-    and a weighted total equal to the cached a(n). Anything else raises
-    CacheError naming the path."""
+    ``cap = d - 1`` and the width ``field_width(r, n)``; ``n <
+    len(record.terms)``; strictly descending keys that decode to partitions
+    of ``r * n`` with at most ``cap`` rows and leave no gap in a run (see
+    ``tableaux.LayerTable``), with positive counts; and a weighted total
+    equal to the cached a(n). Anything else raises CacheError naming the
+    path."""
     path = layer_path(resolve_cache_dir(cache_dir), record.d, record.r)
     return _read(path, "layer checkpoint", lambda handle: _parse_layer(handle, record))
 
@@ -323,8 +364,7 @@ def _parse_layer(lines: Iterable[str], record: SequenceRecord) -> Checkpoint:
         raise ValueError(f"layer {n} is not among the {len(record.terms)} cached terms")
     if width != field_width(r, n):
         raise ValueError(f"header says width={width}, expected {field_width(r, n)}")
-    size = r * n
-    table: dict[int, int] = {}
+    size, table, last = r * n, LayerTable(), 1 << width * cap  # last: above every key
     for lineno, line in enumerate(lines, start=2):
         fields = line.split()
         if len(fields) != 2:
@@ -340,10 +380,16 @@ def _parse_layer(lines: Iterable[str], record: SequenceRecord) -> Checkpoint:
             )
         if count <= 0:
             raise ValueError(f"line {lineno}: count {fields[1]} is not positive")
-        if key in table:
-            raise ValueError(f"line {lineno}: key {fields[0]} appears twice")
-        table[key] = count
-    layer = Checkpoint(n, width, table)
+        if key >= last:
+            raise ValueError(f"line {lineno}: key {fields[0]} appears twice or out of order")
+        last = key
+        # in descending key order, each run's shapes come in index order
+        _, row1, row2, *_ = (*shape, 0, 0, 0)
+        run = table.setdefault(shape[2:], [])
+        if row1 - row2 != len(run):
+            raise ValueError(f"line {lineno}: key {fields[0]} leaves a gap in its run")
+        run.append(count)
+    layer = Checkpoint(n, table)
     if layer.count(d, r) != record.terms[n]:
         raise ValueError(f"layer {n} does not weigh to the cached a({n})")
     return layer
@@ -376,10 +422,11 @@ def _layer_store(record: SequenceRecord, layer: Checkpoint, directory: Path) -> 
         )
         return
 
+    width = field_width(r, layer.n)
+    keyed = sorted(_keyed(layer.table, r * layer.n, d - 1, width), reverse=True)
+
     def write(handle: TextIO) -> None:
-        handle.write(
-            f"# seqlab layer d={d} r={r} n={layer.n} width={layer.width} cap={d - 1}\n"
-        )
-        handle.writelines(f"{key:x} {count:x}\n" for key, count in layer.table.items())
+        handle.write(f"# seqlab layer d={d} r={r} n={layer.n} width={width} cap={d - 1}\n")
+        handle.writelines(f"{key:x} {count:x}\n" for key, count in keyed)
 
     _replace(path, write)

@@ -1,12 +1,10 @@
 """Layered counting of column-strict tableaux and the avoider counts.
 
-The central object is a layer table: a map from shapes with r*i cells to the
-number of column-strict fillings that use each of the letters 1..i exactly r
-times. Advancing a layer introduces the next letter, which occupies a
-horizontal strip of r cells. The terminal table therefore holds Kostka
-numbers with uniform content. A table keys each shape by one int, its rows
-packed into fixed-width bit fields (see ``pack``), so growing a shape by a
-strip is one integer addition.
+A layer table holds, for each shape with r*i cells, the number of
+column-strict fillings that use each of the letters 1..i exactly r times.
+Advancing a layer introduces the next letter, a horizontal strip of r cells,
+so the terminal table holds Kostka numbers with uniform content. A table is
+kept in slices and runs (see ``LayerTable``).
 
 Counting words: a word over {1..n} with r copies of each letter has no
 strictly increasing subsequence of length d exactly when the insertion shape
@@ -15,10 +13,8 @@ most d-1 rows. Pairing each such shape's Kostka number with its
 standard-filling count and summing gives the avoider count, with the whole
 dynamic program capped at d-1 rows from the start -- shapes only grow, so
 taller shapes can be pruned the moment they appear. The standard-filling
-count is the row-length formula split at row 0: a few small-integer
-factors per shape times the count of the rows below it, which is memoized
-on the pass's ``Checkpoint`` (see ``_weighted_total``). A count's pass
-starts from a checkpoint, layer 0 unless it resumes, and
+count is the row-length formula split at row 1 (see ``_weighted_total``). A
+count's pass starts from a checkpoint, layer 0 unless it resumes, and
 ``Checkpoint.advance`` is the one way it moves on.
 """
 
@@ -26,158 +22,118 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 from math import comb, prod
+from operator import add, mul
 from typing import Iterator
 
 from .partitions import Partition, is_partition, syt_count
 
-# shape key (see ``pack``) -> number of fillings
-LayerTable = dict[int, int]
 
+class LayerTable(dict):
+    """A layer table as slice -> run. The slice is rows 2.. of a shape, as a
+    partition; the run lists the counts of the shapes with those rows by row
+    1 minus row 2, and row 0 takes the layer's other cells. A run starts at
+    index 0 and holds no zero (a cell moved from row 1 up to row 0 keeps a
+    filling possible). ``len()`` counts shapes and ``values()`` yields their
+    counts; the engine reads a table only through ``items()``."""
 
-def field_width(r: int, n: int) -> int:
-    """Bits per row in the shape keys of layers 0..n: enough for the
-    longest row any of them can have, ``r * n`` cells."""
-    return max(1, (r * n).bit_length())
+    def __len__(self) -> int:
+        return sum(map(len, dict.values(self)))
 
-
-def pack(shape: Partition, cap: int, width: int) -> int:
-    """The key of ``shape``: ``cap`` fields of ``width`` bits, row 0 in the
-    most significant field and a zero field for every missing row.
-    Descending key order is reverse-lexicographic order on shapes, and
-    adding the key of a strip's row-by-row cell counts to a shape's key
-    gives the key of the grown shape."""
-    key = 0
-    for part in shape:
-        key = key << width | part
-    return key << width * (cap - len(shape))
-
-
-def unpack(key: int, cap: int, width: int) -> Partition:
-    """The partition whose key is ``key`` (the inverse of ``pack``)."""
-    rows = []
-    shift = width * (cap - 1)
-    while key:  # until only empty rows are left
-        rows.append(key >> shift)
-        key &= (1 << shift) - 1
-        shift -= width
-    return tuple(rows)
+    def values(self):
+        return chain.from_iterable(dict.values(self))
 
 
 @dataclass
 class Checkpoint:
-    """Layer ``n``'s table, keyed with ``width``-bit fields: where a pass
-    over the layers resumes. A new checkpoint is layer 0, and ``advance``
-    is the one way a pass moves it on.
-
-    ``lower`` is the lower-row memo of ``_weighted_total``, keyed like the
-    table at ``width`` bits per field; it is no part of the checkpoint's
-    value, so equality compares only ``n``, ``width`` and ``table``. The
-    memo lasts as long as the width: the next pass at that width counts no
-    lower rows the memo already holds."""
+    """Layer ``n``'s table: where a pass over the layers resumes. A new
+    checkpoint is layer 0, and ``advance`` is the one way a pass moves it
+    on."""
 
     n: int = 0
-    width: int = 1
-    table: LayerTable = field(default_factory=lambda: {0: 1})  # the empty filling
-    lower: dict[int, int] = field(default_factory=dict, compare=False, repr=False)
+    table: LayerTable = field(default_factory=lambda: LayerTable({(): [1]}))  # the empty filling
 
     def count(self, d: int, r: int) -> int:
-        """The avoider count a(n) of this layer: its table, weighted through
-        the memo, with ``d - 1`` fields per key."""
-        return _weighted_total(self.table, r * self.n, d - 1, self.width, self.lower)
+        """The avoider count a(n) of this layer: its table, weighted with
+        at most ``d - 1`` rows per shape."""
+        return _weighted_total(self.table, r * self.n, d - 1)
 
     def advance(self, d: int, r: int, n: int) -> Iterator[int]:
         """Move on to layer ``n`` one letter at a time, yielding each new
         layer's index once this checkpoint holds that layer. The tables are
-        capped at ``d - 1`` rows and keyed with ``field_width(r, n)`` bits
-        per field; when that differs from ``width``, the table is repacked
-        (``unpack`` then ``pack``) and the memo dropped. This is the one
-        place layers are advanced, and its argument check, made at the
-        first step, is the one every count shares."""
+        capped at ``d - 1`` rows. This is the one place layers are
+        advanced, and its argument check, made at the first step, is the
+        one every count shares."""
         if d < 2:
             raise ValueError("d must be at least 2")
         if r < 1 or n < 0:
             raise ValueError("need r >= 1 and n >= 0")
         if not 0 <= self.n <= n:
             raise ValueError(f"cannot start layers 0..{n} at layer {self.n}")
-        cap, width = d - 1, field_width(r, n)
-        if width != self.width:
-            self.table = {
-                pack(unpack(key, cap, self.width), cap, width): count
-                for key, count in self.table.items()
-            }
-            self.width, self.lower = width, {}
         while self.n < n:
-            self.table = advance_layer(self.table, r, cap, width)
+            self.table = advance_layer(self.table, r, d - 1, r * self.n)
             self.n += 1
             yield self.n
 
 
 def _strip_additions(room: tuple[int, ...], r: int) -> list[tuple[int, ...]]:
-    """Every way to add ``r`` cells row by row, row i taking at most
+    """Every way to add at most ``r`` cells row by row, row i taking at most
     ``room[i]`` of them."""
     additions = [()]
-    for i, top in enumerate(room):
-        # what the rows below can still take in total
-        below = sum(room[i + 1 :])
-        additions = [
-            a + (k,)
-            for a in additions
-            for k in range(max(0, r - sum(a) - below), min(top, r - sum(a)) + 1)
-        ]
+    for top in room:
+        additions = [a + (k,) for a in additions for k in range(min(top, r - sum(a)) + 1)]
     return additions
 
 
-def advance_layer(table: LayerTable, r: int, cap: int, width: int) -> LayerTable:
-    """One more letter: redistribute every shape's count over its
-    horizontal-strip extensions by ``r`` cells, pruning shapes taller than
-    ``cap`` rows. Keys are ``pack``-ed with ``cap`` fields of ``width`` bits.
+def advance_layer(table: LayerTable, r: int, cap: int, size: int) -> LayerTable:
+    """One more letter: redistribute the counts of a table of shapes with
+    ``size`` cells over their horizontal-strip extensions by ``r`` cells,
+    pruning shapes taller than ``cap`` rows (with ``cap = 1``, row 1 is
+    there but closed).
 
-    Row 0 may grow by any amount and row i by at most the gap ``shape[i-1]
-    - shape[i]`` (the strip condition); a zero row under a nonempty one is
-    where the strip may open a new row, and rows past ``cap`` do not exist.
-    The strip additions depend only on those gaps capped at ``r``, so they
-    are built once per distinct capped signature, as packed deltas, and each
-    (shape, strip) pair is one integer addition.
-
-    Keys of the result are in descending order (reverse-lexicographic on
-    shapes), and the result is independent of iteration schedule (pure
-    accumulation per target shape). A row that outgrows its field raises
-    ``ValueError``.
+    A strip adds ``j_i`` cells to row i: row 0 any number, row i at most
+    ``shape[i-1] - shape[i]``. On rows 3.. those are the slice's own gaps, so
+    the strips are built once per slice length and gaps capped at ``r``.
+    Rows 1 and 2 bound the run index t instead, ``j_2 <= t`` and ``j_1 <=
+    shape[0] - shape[1]``, which falls by 2 as t grows, so a (slice, strip)
+    pair adds a contiguous part of the run to the grown slice's run at index
+    ``t + j_1 - j_2``. The result does not depend on the table's order, and
+    its runs hold no zero.
     """
-    if r < 1 or cap < 1 or width < 1:
-        raise ValueError("r, cap and width must be positive")
-    mask = (1 << width) - 1
-    shifts = range(width * (cap - 1), -1, -width)
-    below_top = (1 << width * (cap - 1)) - 1
-    deltas: dict[tuple[int, ...], list[int]] = {}
-    grown: LayerTable = {}
+    if r < 1 or cap < 1 or size < 0:
+        raise ValueError("r and cap must be positive, size nonnegative")
+    depth = max(cap - 2, 0)  # rows in a slice
+    moves: dict[tuple[int, ...], list[tuple[int, int, tuple[int, ...]]]] = {}
+    grown = LayerTable()
     get = grown.get
-    for key, count in table.items():
-        # the shape moved down one row, less its rows 1..cap-1, holds the gap
-        # shape[i-1] - shape[i] in field i (gaps are never negative: no
-        # borrows); they are read from the bottom row up to the last nonzero
-        gaps = (key >> width) - (key & below_top)
-        signature = []
-        while gaps:
-            gap = gaps & mask
-            signature.append(gap if gap < r else r)
-            gaps >>= width
-        signature = tuple(signature)
-        strips = deltas.get(signature)
+    for part, run in table.items():
+        padded = part + (0,) * (depth - len(part))
+        signature = (len(part), *(min(r, a - b) for a, b in zip(padded, padded[1:])))
+        strips = moves.get(signature)
         if strips is None:
-            room = (r, *reversed(signature + (0,) * (cap - 1 - len(signature))))
-            strips = deltas[signature] = [
-                sum(k << s for k, s in zip(a, shifts)) for a in _strip_additions(room, r)
+            # (j_1, j_2, additions to the slice up to its last nonempty row);
+            # row 0 takes the rest, and rows 1 and 2 have room r where they exist
+            opens = len(part) < depth
+            strips = moves[signature] = [
+                (a[0], a[1], a[1 : len(part) + 1 + (opens and a[len(part) + 1] > 0)])
+                for a in _strip_additions((r * (cap > 1), r * (cap > 2), *signature[1:]), r)
             ]
-        for delta in strips:
-            target = key + delta
-            grown[target] = get(target, 0) + count
-    items = sorted(grown.items(), reverse=True)
-    # rows never exceed row 0, so only row 0 can overflow, past the top field
-    if items and items[0][0] >> width * cap:
-        raise ValueError(f"row 0 outgrows its {width}-bit field")
-    return dict(items)
+        gap = size - sum(part) - 2 * (part[0] if part else 0)  # row 0 minus row 1 at t = 0
+        for j1, j2, tail in strips:
+            stop = min(len(run), (gap - j1) // 2 + 1)
+            if stop <= j2:
+                continue
+            grown_part = tuple(map(add, padded, tail))
+            target = get(grown_part)
+            if target is None:
+                grown[grown_part] = [0] * j1 + run[j2:stop]
+                continue
+            end = j1 + stop - j2
+            if len(target) < end:
+                target += [0] * (end - len(target))
+            target[j1:end] = map(add, target[j1:end], run[j2:stop])
+    return grown
 
 
 def kostka_uniform(shape: Partition, r: int, n: int) -> int:
@@ -198,62 +154,56 @@ def kostka_uniform(shape: Partition, r: int, n: int) -> int:
     cap = max(len(shape), 1)
     layer = Checkpoint()
     deque(layer.advance(cap + 1, r, n), maxlen=0)
-    return layer.table.get(pack(shape, cap, layer.width), 0)
+    _, row1, row2, *_ = (*shape, 0, 0, 0)
+    run = layer.table.get(shape[2:], ())
+    return run[row1 - row2] if row1 - row2 < len(run) else 0
 
 
-def _weighted_total(
-    table: LayerTable, size: int, cap: int, width: int, lower: dict[int, int]
-) -> int:
+def _weighted_total(table: LayerTable, size: int, cap: int) -> int:
     """Sum of each shape's count times its standard-filling count, for a
-    table of shapes with ``size`` cells keyed with ``cap`` fields of
-    ``width`` bits.
+    table of shapes with ``size`` cells and at most ``cap`` rows (two at
+    least, as in ``advance_layer``).
 
-    Row 0 is peeled off. With ``a = shape[0]``, rows 1..cap-1 read as
-    ``l_1, l_2, ...`` (zero where missing) and ``j`` running over 1..cap-1,
-    Frobenius' row-length formula splits as ``f(shape) = C(size, a) * prod
-    (a - l_j + j) * f(rows 1..) / prod (a + j)``. ``lower`` memoizes ``f(rows
-    1..)`` by the key's low ``cap - 1`` fields: the same lower rows recur
-    across layers, so one pass keeps one memo, which its checkpoint carries
-    on while the width stays (see ``Checkpoint``), and a miss calls
-    ``syt_count``. What depends on ``a`` alone is computed again only when
-    ``a`` changes: in table order row 0 never grows, and where it drops by
-    one, ``C(size, a)`` and ``prod (a + j)`` each take one ratio step instead
-    of a fresh ``comb``. Every division is checked to be exact, and a row
-    longer than row 0 raises ``ValueError``.
+    Rows 0 and 1 are peeled off. With k rows, shifted lengths ``l_i =
+    shape[i] + k - 1 - i`` and a slice of ``m`` cells, Frobenius' row-length
+    formula splits as ``f(shape) = C(size, m) * f(slice) * C(L, l_1) * P /
+    ((size - m + 1) ... L)``, with ``L = l_0 + l_1 = size - m + 2k - 3`` and
+    ``P = (l_0 - l_1) * prod_{j>=2} (l_0 - l_j) (l_1 - l_j)``. Along a run L
+    stays, l_1 grows by one and l_0 falls by one, so each factor of P is a
+    range and ``C(L, l_1)`` takes one ratio step per shape. A run costs one
+    ``syt_count`` of its slice and one division of its sum; every division
+    is checked to be exact. A run that reaches past row 0, or a slice of
+    more than k - 2 rows, raises ``ValueError``, and so does a slice that is
+    no partition, through ``syt_count``.
     """
-    below = width * (cap - 1)
-    low_mask = (1 << below) - 1
-    mask = (1 << width) - 1
-    rows = tuple(enumerate(range(below - width, -1, -width), 1))  # (j, shift of row j)
+    rows = max(cap, 2)
     total = 0
-    last = -1
-    for key, count in table.items():
-        a = key >> below
-        low = key & low_mask
-        rest = lower.get(low)
-        if rest is None:
-            rest = lower[low] = syt_count(unpack(low, cap - 1, width))
-        if a == last - 1:
-            head, r_head = divmod(head * (a + 1), size - a)
-            denominator, r_den = divmod(denominator * (a + 1), a + cap)
-            if r_head or r_den:
-                raise ArithmeticError(f"inexact binomial step to row 0 = {a}")
-        elif a != last:
-            head = comb(size, a)
-            denominator = prod(range(a + 1, a + cap))
-        last = a
-        numerator = head * rest
-        for j, shift in rows:
-            factor = a + j - (low >> shift & mask)
-            if factor <= 0:  # syt_count accepted rows 1.., so row 1 exceeds row 0
-                raise ValueError(f"{unpack(key, cap, width)} is not a partition")
-            numerator *= factor
+    for part, run in table.items():
+        cells = sum(part)
+        span = len(run)
+        shifted = [p + rows - 3 - i for i, p in enumerate(part + (0,) * (rows - 2 - len(part)))]
+        l_1 = shifted[0] + 1 if shifted else 0  # at index 0, where row 1 = row 2
+        l_sum = size - cells + 2 * rows - 3  # L
+        if len(shifted) != rows - 2 or l_sum - 2 * (l_1 + span - 1) <= 0:
+            raise ValueError(f"no run of {span} shapes of at most {rows} rows has rows 2.. = {part}")
+        weights = range(l_sum - 2 * l_1, l_sum - 2 * l_1 - 2 * span, -2)  # l_0 - l_1
+        for l_j in shifted:
+            weights = map(mul, weights, range(l_sum - l_1 - l_j, l_sum - l_1 - l_j - span, -1))
+            weights = map(mul, weights, range(l_1 - l_j, l_1 - l_j + span))
+        binomial = comb(l_sum, l_1)
+        run_sum = 0
+        for count, weight in zip(run, weights):
+            run_sum += count * weight * binomial
+            binomial, remainder = divmod(binomial * (l_sum - l_1), l_1 + 1)
+            if remainder:
+                raise ArithmeticError(f"inexact binomial step to l_1 = {l_1 + 1}")
+            l_1 += 1
+        numerator = comb(size, cells) * syt_count(part) * run_sum
+        denominator = prod(range(size - cells + 1, l_sum + 1))
         f, remainder = divmod(numerator, denominator)
         if remainder:
-            raise ArithmeticError(
-                f"{denominator} does not divide {numerator} for {unpack(key, cap, width)}"
-            )
-        total += f * count
+            raise ArithmeticError(f"{denominator} does not divide {numerator} for rows 2.. = {part}")
+        total += f
     return total
 
 

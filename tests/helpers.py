@@ -20,7 +20,7 @@ from typing import Any, Sequence
 
 from seqlab.partitions import syt_count
 from seqlab.recurrences import PRecurrence, _window_rows, poly_trim, recurrence_residual
-from seqlab.tableaux import Checkpoint, field_width, unpack
+from seqlab.tableaux import Checkpoint
 
 
 def catalan(n: int) -> int:
@@ -190,20 +190,35 @@ def is_horizontal_strip(inner: tuple[int, ...], outer: tuple[int, ...]) -> bool:
 
 
 def direct_weighted_sequence(d: int, r: int, n: int) -> list[int]:
-    """Avoider counts 0..n weighted shape by shape: each key of each layer
-    table decoded and its standard-filling count taken from ``syt_count``
-    on the whole shape."""
-    width = field_width(r, n)
+    """Avoider counts 0..n weighted shape by shape: each shape of each
+    decoded layer table, its standard-filling count taken from
+    ``syt_count`` on the whole shape."""
     return [
-        sum(syt_count(unpack(key, d - 1, width)) * count for key, count in table.items())
+        sum(syt_count(shape) * count for shape, count in table.items())
         for table in cold_tables(d, r, n)
     ]
 
 
-def cold_tables(d: int, r: int, n: int) -> list[dict[int, int]]:
-    """Layer tables 0..n of one pass from layer 0, keyed at ``field_width(r, n)``."""
+def decoded(table, size: int) -> dict[tuple[int, ...], int]:
+    """A layer table of shapes with ``size`` cells as ``{shape: count}``,
+    in reverse-lexicographic shape order: each run's index i is the shape
+    whose rows 2.. are the run's slice, row 1 is row 2 plus i, and row 0
+    holds the other cells."""
+    shapes = {}
+    for part, run in table.items():
+        row2 = part[0] if part else 0
+        for i, count in enumerate(run):
+            rows = (size - sum(part) - row2 - i, row2 + i, *part)
+            shapes[tuple(row for row in rows if row)] = count
+    return dict(sorted(shapes.items(), reverse=True))
+
+
+def cold_tables(d: int, r: int, n: int) -> list[dict[tuple[int, ...], int]]:
+    """Layer tables 0..n of one pass from layer 0, decoded to
+    ``{shape: count}``."""
     layer = Checkpoint()
-    return [layer.table, *(layer.table for _ in layer.advance(d, r, n))]
+    tables = [layer.table, *(layer.table for _ in layer.advance(d, r, n))]
+    return [decoded(table, r * i) for i, table in enumerate(tables)]
 
 
 def exact_nullspace_basis(rows: list[list[int]], ncols: int) -> list[list[int]]:

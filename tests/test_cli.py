@@ -11,8 +11,8 @@ import pytest
 
 from seqlab.cli import main
 from seqlab.recurrences import format_recurrence, guess, parse_recurrence, verify
-from seqlab.storage import SequenceRecord, cache_load, cache_path, cache_store, layer_path
-from seqlab.tableaux import avoiders_sequence, field_width
+from seqlab.storage import SequenceRecord, cache_load, cache_path, cache_store, field_width, layer_path
+from seqlab.tableaux import avoiders_sequence
 
 from helpers import catalan
 

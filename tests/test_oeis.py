@@ -154,6 +154,14 @@ class TestLocalLookup:
         with pytest.raises(FileNotFoundError):
             oeis_lookup([1, 2], mode="local", dump_path=tmp_path / "absent")
 
+    def test_text_terms_read_as_decimal_only(self, tmp_path):
+        dump = tmp_path / "stripped"
+        dump.write_text("A000001 ,1,1000,\n")
+        assert [m.identifier for m in oeis_lookup(["1", "1000"], mode="local", dump_path=dump)] == ["A000001"]
+        for bad in ("1_000", " 1000 "):
+            with pytest.raises(ValueError, match=repr(bad)):
+                oeis_lookup(["1", bad], mode="local", dump_path=dump)
+
     def test_empty_query_rejected(self, dump):
         with pytest.raises(ValueError):
             oeis_lookup([], mode="local", dump_path=dump)

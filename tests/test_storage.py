@@ -3,6 +3,7 @@ import logging
 import re
 import time
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,18 +15,24 @@ from seqlab.storage import (
     cache_load,
     cache_path,
     cache_store,
+    field_width,
     format_bfile,
     int_to_text,
     layer_load,
     layer_path,
+    pack,
     parse_bfile,
     record_to_bfile,
     resolve_cache_dir,
     text_to_int,
+    unpack,
 )
-from seqlab.tableaux import Checkpoint, avoiders_sequence, pack
+from seqlab.partitions import partitions_upto_length
+from seqlab.tableaux import Checkpoint, LayerTable, avoiders_sequence
 
-from helpers import catalan
+from helpers import catalan, cold_tables, decoded
+
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "data"
 
 # 10,142 digits: past Python's default 4300-digit limit on int <-> str
 HUGE = 7**12000
@@ -227,6 +234,31 @@ class TestCache:
         assert cache_load(3, 1, tmp_path).terms == big
 
 
+class TestPackedKeys:
+    @pytest.mark.parametrize("cap", [1, 2, 3, 4])
+    def test_round_trip_and_order(self, cap):
+        for total in range(13):
+            expected = list(partitions_upto_length(total, cap))
+            keys = [pack(shape, cap, 4) for shape in expected]
+            assert [unpack(key, cap, 4) for key in keys] == expected
+            # descending keys are reverse-lexicographic shapes
+            assert keys == sorted(keys, reverse=True)
+
+    def test_layout(self):
+        # row 0 in the top field, an empty row is a zero field
+        assert pack((5, 3), 3, 4) == 5 << 8 | 3 << 4
+        assert pack((), 3, 4) == 0
+        assert unpack(5 << 8 | 3 << 4, 3, 4) == (5, 3)
+
+    def test_strip_is_one_addition(self):
+        assert pack((4, 2, 1), 3, 8) == pack((3, 2), 3, 8) + pack((1, 0, 1), 3, 8)
+
+    def test_width_covers_the_longest_row(self):
+        assert [field_width(r, n) for r, n in [(1, 0), (1, 1), (2, 2), (1, 8), (5, 51)]] == [
+            1, 1, 3, 4, 8
+        ]
+
+
 def stored_layer(directory, d=3, r=1, n=12):
     """The record 0..n and its layer-n checkpoint, both stored."""
     layer = Checkpoint()
@@ -248,7 +280,32 @@ class TestLayerCheckpoint:
         assert layer_load(rec, tmp_path) == layer
         text = layer_path(tmp_path, 3, 1).read_text()
         assert text.splitlines()[0] == "# seqlab layer d=3 r=1 n=12 width=4 cap=2"
-        assert text.splitlines()[1:] == [f"{k:x} {c:x}" for k, c in layer.table.items()]
+        # one line per shape, in descending key order
+        shapes = decoded(layer.table, 12)
+        assert text.splitlines()[1:] == [f"{pack(shape, 2, 4):x} {c:x}" for shape, c in shapes.items()]
+
+    @pytest.mark.parametrize("d, r, n", [(2, 3, 6), (3, 1, 0), (3, 2, 9), (5, 2, 12), (6, 1, 11)])
+    def test_read_back_equals_the_computed_checkpoint(self, tmp_path, d, r, n):
+        # one form per table: runs from index 0, no zero, nothing else held
+        rec, layer = stored_layer(tmp_path, d, r, n)
+        assert all(run and 0 not in run for _, run in layer.table.items())
+        assert layer_load(rec, tmp_path) == layer
+
+    def test_checkpoint_packed_by_hand_resumes(self, tmp_path):
+        # a layer file laid out key by key, as a checkpoint written before
+        # tables were kept in runs: d = 4, so 3 fields of field_width(2, 10)
+        # = 5 bits, row 0 on top, lines in descending key order
+        reference = [int(line.split()[1]) for line in (REFERENCE / "d4_r2.txt").read_text().splitlines()
+                     if line.strip() and line[0] != "#"]
+        rec = record(d=4, r=2, terms=reference[:11])
+        cache_store(rec, tmp_path)
+        table = cold_tables(4, 2, 10)[-1]
+        keys = {sum(row << 5 * (2 - i) for i, row in enumerate(shape)): count for shape, count in table.items()}
+        lines = [f"{key:x} {keys[key]:x}\n" for key in sorted(keys, reverse=True)]
+        layer_path(tmp_path, 4, 2).write_text("# seqlab layer d=4 r=2 n=10 width=5 cap=3\n" + "".join(lines))
+        layer = layer_load(rec, tmp_path)
+        assert layer.n == 10
+        assert avoiders_sequence(4, 2, 20, layer) == reference[11:21]
 
     def test_absent_checkpoint(self, tmp_path):
         cache_store(record(), tmp_path)
@@ -262,6 +319,7 @@ class TestLayerCheckpoint:
         (lambda text: edit_line(text, 1, "c0 0\n"), "not positive"),
         (lambda text: text.replace("\nc0 1\n", "\nc0 2\n"), "does not weigh"),
         (lambda text: text + text.splitlines(keepends=True)[-1], "twice"),
+        (lambda text: text.replace("\nb1 b\n", "\n"), "gap in its run"),
         (lambda text: text.replace("d=3 r=1", "d=4 r=1"), "expected d=3 r=1"),
         (lambda text: text.replace("width=4", "width=5"), "width"),
         (lambda text: text.replace(" cap=2", ""), "header fields"),
@@ -269,7 +327,7 @@ class TestLayerCheckpoint:
         (lambda text: text.replace("n=12", "n=1_2"), "non-integer header field"),
     ], ids=[
         "truncated", "bad-hex", "non-partition", "row-sum", "zero-count", "wrong-total",
-        "duplicate", "other-key", "width", "header", "past-the-terms", "underscore-header",
+        "duplicate", "gap", "other-key", "width", "header", "past-the-terms", "underscore-header",
     ])
     def test_corrupt_checkpoint_reported_with_path(self, tmp_path, corrupt, message):
         rec, _ = stored_layer(tmp_path)
@@ -279,6 +337,18 @@ class TestLayerCheckpoint:
             layer_load(rec, tmp_path)
         assert excinfo.value.path == path
         assert str(path) in str(excinfo.value)
+
+    def test_keys_out_of_order_are_reported(self, tmp_path):
+        rec, _ = stored_layer(tmp_path, d=4, n=8)
+        path = layer_path(tmp_path, 4, 1)
+        lines = path.read_text().splitlines(keepends=True)
+        slices = [unpack(int(line.split()[0], 16), 3, 4)[2:] for line in lines[1:]]
+        # swap two neighbours from different runs: no run gets a gap
+        i = 1 + next(i for i in range(len(slices) - 1) if slices[i] != slices[i + 1])
+        lines[i : i + 2] = lines[i + 1], lines[i]
+        path.write_text("".join(lines))
+        with pytest.raises(CacheError, match="out of order"):
+            layer_load(rec, tmp_path)
 
     def test_checkpoint_must_weigh_to_the_cached_term(self, tmp_path):
         rec, _ = stored_layer(tmp_path)
@@ -323,25 +393,26 @@ class TestLayerCheckpoint:
         rec, _ = stored_layer(tmp_path)
         kept = layer_path(tmp_path, 3, 1).read_text()
         longer = record(terms=(*rec.terms, 0, 0, 0, 0, 0, 0, 0, 0))
-        unwritable = Checkpoint(20, 5, {pack((20,), 2, 5): "not a count"})
+        unwritable = Checkpoint(20, LayerTable({(): ["not a count"]}))
         with pytest.raises(ValueError):
             cache_store(longer, tmp_path, unwritable)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["A_d3_r1.bfile", "A_d3_r1.layer"]
         assert layer_path(tmp_path, 3, 1).read_text() == kept
 
-    def test_resumed_pass_reuses_the_validation_memo(self, tmp_path, monkeypatch):
+    def test_resumed_pass_weighs_only_its_new_layers(self, tmp_path, monkeypatch):
         import seqlab.tableaux
 
-        rec, _ = stored_layer(tmp_path, n=330)
+        rec, _ = stored_layer(tmp_path, d=4, r=1, n=40)
+        cold = avoiders_sequence(4, 1, 60, Checkpoint())
         shapes = []
         original = seqlab.tableaux.syt_count
         monkeypatch.setattr(
             seqlab.tableaux, "syt_count", lambda shape: shapes.append(shape) or original(shape)
         )
         layer = layer_load(rec, tmp_path)
-        tail = avoiders_sequence(3, 1, 370, layer)
-        assert [*rec.terms, *tail] == [catalan(n) for n in range(371)]
-        # the width (9 bits) is unchanged, so the pass reads the memo the
-        # check filled: row 1 of 0..165 cells once, by the check, and of
-        # 166..185 once, by the pass
-        assert len(shapes) == len(set(shapes)) == 186
+        tail = avoiders_sequence(4, 1, 60, layer)
+        assert [*rec.terms, *tail] == [1, *cold]
+        # one call per slice (rows 2..) of each weighed layer: layer 40 once,
+        # by the check, then 41..60 once each, by the pass, and none before
+        weighed = cold_tables(4, 1, 60)[40:]
+        assert sorted(shapes) == sorted(part for table in weighed for part in {shape[2:] for shape in table})

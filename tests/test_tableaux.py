@@ -1,4 +1,5 @@
 from collections import deque
+from dataclasses import fields
 from itertools import islice
 from math import comb, factorial
 from pathlib import Path
@@ -9,20 +10,19 @@ from hypothesis import given, settings, strategies as st
 from seqlab.partitions import partitions_upto_length, syt_count
 from seqlab.tableaux import (
     Checkpoint,
+    LayerTable,
     _weighted_total,
     advance_layer,
     avoiders_count,
     avoiders_sequence,
-    field_width,
     kostka_uniform,
-    pack,
-    unpack,
 )
 
 from helpers import (
     brute_ssyt_count,
     catalan,
     cold_tables,
+    decoded,
     direct_weighted_sequence,
     hook_length_count,
     is_horizontal_strip,
@@ -30,61 +30,48 @@ from helpers import (
 )
 
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "data"
-W = 8  # field width of the tables built by hand below
 
 
-def decoded(table, cap, width=W):
-    """A layer table with its keys decoded to partitions, in table order."""
-    return {unpack(key, cap, width): count for key, count in table.items()}
+def one_shape(shape):
+    """A table holding ``shape`` once: its slice, and a run that is zero up
+    to the shape's index."""
+    _, row1, row2, *_ = (*shape, 0, 0, 0)
+    return LayerTable({tuple(shape[2:]): [0] * (row1 - row2) + [1]})
 
 
-class TestPackedKeys:
-    @pytest.mark.parametrize("cap", [1, 2, 3, 4])
-    def test_round_trip_and_order(self, cap):
-        for total in range(13):
-            expected = list(partitions_upto_length(total, cap))
-            keys = [pack(shape, cap, 4) for shape in expected]
-            assert [unpack(key, cap, 4) for key in keys] == expected
-            # descending keys are reverse-lexicographic shapes
-            assert keys == sorted(keys, reverse=True)
-
-    def test_layout(self):
-        # row 0 in the top field, an empty row is a zero field
-        assert pack((5, 3), 3, 4) == 5 << 8 | 3 << 4
-        assert pack((), 3, 4) == 0
-        assert unpack(5 << 8 | 3 << 4, 3, 4) == (5, 3)
-
-    def test_strip_is_one_addition(self):
-        assert pack((4, 2, 1), 3, W) == pack((3, 2), 3, W) + pack((1, 0, 1), 3, W)
-
-    def test_width_covers_the_longest_row(self):
-        assert [field_width(r, n) for r, n in [(1, 0), (1, 1), (2, 2), (1, 8), (5, 51)]] == [
-            1, 1, 3, 4, 8
-        ]
+def last_checkpoint(d, r, n):
+    layer = Checkpoint()
+    deque(layer.advance(d, r, n), maxlen=0)
+    return layer
 
 
 class TestAdvanceLayer:
     def test_from_empty(self):
-        assert decoded(advance_layer(Checkpoint().table, 2, 2, W), 2) == {(2,): 1}
+        assert decoded(advance_layer(Checkpoint().table, 2, 2, 0), 2) == {(2,): 1}
 
     def test_from_single_row(self):
-        table = advance_layer({pack((2,), 2, W): 1}, 2, 2, W)
-        assert decoded(table, 2) == {(4,): 1, (3, 1): 1, (2, 2): 1}
+        table = advance_layer(LayerTable({(): [1]}), 2, 2, 2)
+        # one run: row 1 = 0, 1, 2 cells
+        assert table == {(): [1, 1, 1]}
+        assert decoded(table, 4) == {(4,): 1, (3, 1): 1, (2, 2): 1}
 
-    def test_keys_reverse_lexicographic(self):
+    def test_runs_are_canonical(self):
+        # every run starts at row 1 = row 2 and holds no zero, so len() counts
+        # the shapes and values() yields their counts
         table = Checkpoint().table
-        for _ in range(5):
-            table = advance_layer(table, 2, 3, W)
-            keys = list(decoded(table, 3))
-            assert keys == sorted(keys, reverse=True)
-            assert list(table) == sorted(table, reverse=True)
+        for n in range(1, 9):
+            table = advance_layer(table, 2, 4, 2 * (n - 1))
+            shapes = decoded(table, 2 * n)
+            assert all(run and 0 not in run for _, run in table.items())
+            assert len(table) == len(shapes)
+            assert sorted(table.values()) == sorted(shapes.values())
 
     def test_r1_layers_reproduce_standard_counts(self):
         # with one cell per letter, the terminal count is the standard count
         table = Checkpoint().table
         for n in range(1, 9):
-            table = advance_layer(table, 1, 3, W)
-            for shape, value in decoded(table, 3).items():
+            table = advance_layer(table, 1, 3, n - 1)
+            for shape, value in decoded(table, n).items():
                 assert value == syt_count(shape), (n, shape)
 
     @pytest.mark.parametrize("r", [1, 2, 3, 4])
@@ -105,38 +92,35 @@ class TestAdvanceLayer:
                 )
                 if total:
                     expected[outer] = total
-            table = advance_layer(table, r, cap, W)
-            assert list(decoded(table, cap).items()) == list(expected.items()), (r, cap, n)
+            table = advance_layer(table, r, cap, r * (n - 1))
+            assert list(decoded(table, r * n).items()) == list(expected.items()), (r, cap, n)
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
-            advance_layer(Checkpoint().table, 0, 2, W)
+            advance_layer(Checkpoint().table, 0, 2, 0)
         with pytest.raises(ValueError):
-            advance_layer(Checkpoint().table, 2, 0, W)
+            advance_layer(Checkpoint().table, 2, 0, 0)
         with pytest.raises(ValueError):
-            advance_layer(Checkpoint().table, 2, 2, 0)
+            advance_layer(Checkpoint().table, 2, 2, -1)
 
     def test_row_outgrowing_its_field(self):
-        # a 2-bit field holds rows of up to 3 cells
-        assert decoded(advance_layer({pack((2,), 2, 2): 1}, 1, 2, 2), 2, 2) == {
-            (3,): 1,
-            (2, 1): 1,
+        # no row has a field to outgrow: a row of 2^70 cells grows like one
+        # of 2 cells
+        big = 2**70
+        assert decoded(advance_layer(LayerTable({(): [1]}), 1, 2, big), big + 1) == {
+            (big + 1,): 1,
+            (big, 1): 1,
         }
-        with pytest.raises(ValueError, match="2-bit"):
-            advance_layer({pack((3,), 2, 2): 1}, 1, 2, 2)
 
 
 class TestLayerTables:
     def test_tables_are_repeated_advances(self):
-        width = field_width(2, 5)
         table = Checkpoint().table
-        expected = [table]
-        for _ in range(5):
-            table = advance_layer(table, 2, 3, width)
-            expected.append(table)
-        assert [decoded(t, 3, width) for t in cold_tables(4, 2, 5)] == [
-            decoded(t, 3, width) for t in expected
-        ]
+        expected = [decoded(table, 0)]
+        for n in range(1, 6):
+            table = advance_layer(table, 2, 3, 2 * (n - 1))
+            expected.append(decoded(table, 2 * n))
+        assert cold_tables(4, 2, 5) == expected
 
     def test_rejects_bad_args(self):
         for d, r, n in [(1, 1, 3), (3, 0, 3), (3, 1, -1)]:
@@ -169,16 +153,14 @@ class TestLayerTables:
             seqlab.tableaux, "syt_count", lambda shape: shapes.append(shape) or original(shape)
         )
         avoiders_count(4, 2, 6)
-        last = cold_tables(4, 2, 6)[-1]
-        # one call per distinct lower-row shape (rows 1..) of the last table,
-        # in first-seen order; none for a shape only earlier tables have
-        lower = [unpack(key, 3, field_width(2, 6))[1:] for key in last]
-        assert shapes == list(dict.fromkeys(lower))
+        # one call per run of the last table (its slice), in table order;
+        # none for a run only earlier tables have
+        assert shapes == list(last_checkpoint(4, 2, 6).table)
 
 
 class TestResume:
     def test_new_checkpoint_is_layer_zero(self):
-        assert Checkpoint() == Checkpoint(0, 1, {0: 1})
+        assert Checkpoint() == Checkpoint(0, LayerTable({(): [1]}))
         assert list(Checkpoint().advance(3, 1, 5)) == [1, 2, 3, 4, 5]
 
     def test_pass_stopped_part_way_resumes(self):
@@ -190,77 +172,92 @@ class TestResume:
         assert layer.n == 4
         assert layer.count(4, 2) == cold[4]
         assert avoiders_sequence(4, 2, 10, layer) == cold[5:]
-        last = cold_tables(4, 2, 10)[-1]
-        assert layer == Checkpoint(10, field_width(2, 10), last)
+        assert layer == last_checkpoint(4, 2, 10)
+        assert decoded(layer.table, 20) == cold_tables(4, 2, 10)[-1]
 
     @pytest.mark.parametrize("d, r, lo, hi", [(3, 1, 15, 40), (4, 2, 0, 6), (5, 2, 4, 12), (4, 3, 5, 5)])
     def test_resumed_pass_matches_a_cold_one(self, d, r, lo, hi):
         start = Checkpoint()
         head = avoiders_sequence(d, r, lo, start)
-        assert (start.n, start.width) == (lo, field_width(r, lo))
+        assert start.n == lo
         assert start.count(d, r) == avoiders_count(d, r, lo)
         tail = avoiders_sequence(d, r, hi, start)
         assert [1, *head, *tail] == avoiders_sequence(d, r, hi)
-        # the table moved on is the cold pass's last table, in its key order
-        last = cold_tables(d, r, hi)[-1]
-        assert (start.n, start.width) == (hi, field_width(r, hi))
-        assert list(start.table.items()) == list(last.items())
+        # the table moved on is the cold pass's last table, run for run
+        assert start == last_checkpoint(d, r, hi)
 
     @pytest.mark.parametrize("d, r", [(3, 1), (6, 1), (4, 2)])
     def test_chained_counts_match_one_pass(self, d, r):
-        # n = 0..40 crosses every width change of the pass, so a memo read
-        # at the wrong width would show
         start = Checkpoint()
         chained = [avoiders_count(d, r, n, start) for n in range(41)]
         assert chained == avoiders_sequence(d, r, 40)
-        assert (start.n, start.width) == (40, field_width(r, 40))
+        assert start == last_checkpoint(d, r, 40)
 
     @pytest.mark.parametrize("d", [3, 4])
-    def test_widening_resume_drops_the_memo(self, d):
-        # 4-bit keys to 6-bit ones; with d = 4 the lower rows take two
-        # fields, so a stale key would decode to another shape
+    def test_resumed_checkpoint_holds_only_its_layer(self, d):
+        # 15 to 40 crosses a change of the checkpoint file's key width (4 to
+        # 6 bits); the checkpoint carries nothing past its layer's table, so
+        # the resumed one equals the cold one
+        assert [f.name for f in fields(Checkpoint)] == ["n", "table"]
         start = Checkpoint()
         avoiders_sequence(d, 1, 15, start)
-        assert start.width == 4 and start.lower
         assert avoiders_sequence(d, 1, 40, start) == avoiders_sequence(d, 1, 40)[16:]
-        assert start.width == 6
-        cap = d - 1
-        below = (1 << 6 * (cap - 1)) - 1
-        lows = {key & below for table in cold_tables(d, 1, 40)[16:] for key in table}
-        assert set(start.lower) == lows
-        assert all(f == syt_count(unpack(low, cap - 1, 6)) for low, f in start.lower.items())
+        assert start == last_checkpoint(d, 1, 40)
 
     def test_start_must_not_pass_the_last_layer(self):
-        start = Checkpoint(6, field_width(1, 6), {})
+        start = Checkpoint(6, LayerTable())
         with pytest.raises(ValueError, match="layer 6"):
             next(start.advance(3, 1, 5))
-        assert start == Checkpoint(6, field_width(1, 6), {})
+        assert start == Checkpoint(6, LayerTable())
 
 
 class TestWeighting:
     def test_peeled_row_matches_hook_lengths(self):
         # every partition of up to 24 cells, padded to every row count up to
-        # 7; one memo per row count, so later sizes also read memoized rows
+        # 7, weighed on its own
         for cap in range(1, 8):
-            lower = {}
             for size in range(25):
                 for shape in partitions_upto_length(size, cap):
-                    table = {pack(shape, cap, W): 1}
-                    got = _weighted_total(table, size, cap, W, lower)
+                    got = _weighted_total(one_shape(shape), size, cap)
                     assert got == hook_length_count(shape), (shape, cap)
+
+    def test_runs_weigh_shape_by_shape(self):
+        # whole runs, with counts that keep every shape's share apart
+        for cap in range(1, 6):
+            for size in range(16):
+                table = LayerTable()
+                expected = 0
+                for i, shape in enumerate(sorted(partitions_upto_length(size, cap), reverse=True)):
+                    count = 1 << 64 * i
+                    run = table.setdefault(shape[2:], [])
+                    run.append(count)
+                    expected += count * hook_length_count(shape)
+                assert _weighted_total(table, size, cap) == expected, (size, cap)
 
     @settings(max_examples=40, deadline=None)
     @given(d=st.integers(2, 6), r=st.integers(1, 3), n=st.integers(0, 7))
     def test_matches_direct_weighting(self, d, r, n):
         assert avoiders_sequence(d, r, n) == direct_weighted_sequence(d, r, n)
 
-    @pytest.mark.parametrize("shape", [(2, 3), (2, 5), (0, 1), (3, 4, 1), (3, 1, 2)])
+    @pytest.mark.parametrize("shape", [(2, 3), (2, 5), (0, 1), (3, 4, 1), (5, 3, 1, 2)])
     def test_rejects_non_partitions(self, shape):
-        # row 1 longer than row 0 (the peeled factor is zero or negative), or
-        # lower rows that are no partition
+        # row 1 longer than row 0 (the run reaches past row 0), or a slice
+        # (rows 2..) that is no partition
         cap = len(shape)
         with pytest.raises(ValueError):
-            _weighted_total({pack(shape, cap, W): 1}, sum(shape), cap, W, {})
+            _weighted_total(one_shape(shape), sum(shape), cap)
+
+    @pytest.mark.parametrize("cap", [2, 3, 4])
+    def test_rejects_a_run_past_row_0(self, cap):
+        # the shapes of 4 cells with rows 2.. empty end at (2, 2); a run one
+        # longer would hold (1, 3)
+        assert _weighted_total(LayerTable({(): [1, 1, 1]}), 4, cap) == 1 + 3 + 2
+        with pytest.raises(ValueError, match="no run of 4 shapes"):
+            _weighted_total(LayerTable({(): [1, 1, 1, 1]}), 4, cap)
+
+    def test_rejects_a_slice_taller_than_the_cap(self):
+        with pytest.raises(ValueError, match="at most 3 rows"):
+            _weighted_total(LayerTable({(1, 1): [1]}), 4, 3)
 
     def test_no_memo_outlives_a_call(self, monkeypatch):
         import seqlab.tableaux
@@ -393,8 +390,9 @@ class TestAvoidersSequence:
 
 
 class TestFieldWidthBoundaries:
-    # widths on both sides of a power of two: the longest row, r*n cells,
-    # just fits its field or needs one more bit
+    # rows on both sides of a power of two, where a checkpoint file's key
+    # field just fits the longest row, r*n cells, or needs one more bit:
+    # the engine itself has no field, and every count stays exact
     @pytest.mark.parametrize("r", [1, 63, 64, 127, 128])
     def test_two_letters(self, r):
         # no increasing run of 3 from two letters: every word counts
@@ -402,11 +400,13 @@ class TestFieldWidthBoundaries:
 
     @pytest.mark.parametrize("r", [32767, 32768])
     def test_two_letters_sixteen_bits(self, r):
-        # the table: every shape of 2r cells with row 1 <= r, each once
-        last = cold_tables(3, r, 2)[-1]
+        # the table: every shape of 2r cells with row 1 <= r, each once, in
+        # one run
+        layer = last_checkpoint(3, r, 2)
+        assert layer.table == {(): [1] * (r + 1)}
         expected = {(2 * r - k, k) if k else (2 * r,): 1 for k in range(r + 1)}
-        assert list(decoded(last, 2, field_width(r, 2)).items()) == list(expected.items())
-        # and its weighting, where row 0 drops by one from shape to shape
+        assert cold_tables(3, r, 2)[-1] == expected
+        # and its weighting, along a run of r + 1 shapes
         assert avoiders_count(3, r, 2) == comb(2 * r, r)
 
     @pytest.mark.parametrize("r", [85, 86])
