@@ -56,6 +56,13 @@ def _emit_terms(terms, fmt: str) -> None:
             print(int_to_text(value))
 
 
+def integer(text: str) -> int:
+    """An integer option's value, read by ``text_to_int``: ASCII decimal
+    digits with an optional sign, at any length. argparse names this
+    function in its usage error: ``invalid integer value: '1_0'``."""
+    return text_to_int(text)
+
+
 class _StatsFormatter(logging.Formatter):
     # warnings, such as the cache's keep-longest notice, keep their bare text
     def format(self, record: logging.LogRecord) -> str:
@@ -233,20 +240,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     cache_flags = argparse.ArgumentParser(add_help=False)
     cache_flags.add_argument("--cache-dir", default=None, help="cache directory (default: $SEQLAB_CACHE or ./.seqlab)")
-    cache_flags.add_argument("--stats", action="store_true", help="report DP layers computed, and each pair guess tries, on stderr")
+    cache_flags.add_argument("--stats", action="store_true", help="report DP layers computed, and each order guess screens and each pair it tries, on stderr")
 
     fmt_flags = argparse.ArgumentParser(add_help=False)
     fmt_flags.add_argument("--format", choices=FORMATS, default="plain", help="output format (default plain: one value per line)")
 
     key_flags = argparse.ArgumentParser(add_help=False)
-    key_flags.add_argument("--d", type=int, required=True)
-    key_flags.add_argument("--r", type=int, required=True)
-    key_flags.add_argument("--nmax", type=int, required=True)
+    key_flags.add_argument("--d", type=integer, required=True)
+    key_flags.add_argument("--r", type=integer, required=True)
+    key_flags.add_argument("--nmax", type=integer, required=True)
 
     term_flags = argparse.ArgumentParser(add_help=False)
-    term_flags.add_argument("--d", type=int, required=True)
-    term_flags.add_argument("--r", type=int, required=True)
-    term_flags.add_argument("--n", type=int, required=True)
+    term_flags.add_argument("--d", type=integer, required=True)
+    term_flags.add_argument("--r", type=integer, required=True)
+    term_flags.add_argument("--n", type=integer, required=True)
 
     p = sub.add_parser("seq", parents=[cache_flags, fmt_flags, key_flags], help="compute and cache terms 0..nmax")
     p.set_defaults(func=cmd_seq)
@@ -255,17 +262,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("oracle", parents=[term_flags], help="one term by brute-force enumeration")
-    p.add_argument("--budget", type=int, default=10**6, help="word-count budget before warning")
+    p.add_argument("--budget", type=integer, default=10**6, help="word-count budget before warning")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("check", parents=[key_flags], help="formula vs brute force for n = 0..nmax")
-    p.add_argument("--budget", type=int, default=10**6, help="skip n whose word count exceeds this")
+    p.add_argument("--budget", type=integer, default=10**6, help="skip n whose word count exceeds this")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("guess", parents=[cache_flags, key_flags], help="guess a recurrence from terms 0..nmax")
-    p.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER)
-    p.add_argument("--max-degree", type=int, default=None, help="default: every degree whose order-1 system is determined by the terms")
-    p.add_argument("--holdout", type=int, default=None, help="terms withheld for validation (default: quarter, min 4)")
+    p.add_argument("--max-order", type=integer, default=DEFAULT_MAX_ORDER)
+    p.add_argument("--max-degree", type=integer, default=None, help="default: every degree whose order-1 system is determined by the terms")
+    p.add_argument("--holdout", type=integer, default=None, help="terms withheld for validation (default: quarter, min 4)")
     p.add_argument("--out", default=None, help="write the recurrence to this file instead of stdout")
     p.set_defaults(func=cmd_guess)
 
@@ -276,21 +283,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("asym", parents=[cache_flags, key_flags], help="growth report: conjectured vs fitted parameters, constant ladder")
     p.add_argument("--rec", default=None, help="optional recurrence file to reach nmax by extension")
-    p.add_argument("--levels", type=int, default=3)
-    p.add_argument("--stride", type=int, default=8)
-    p.add_argument("--rows", type=int, default=16, help="table rows to print (tail)")
+    p.add_argument("--levels", type=integer, default=3)
+    p.add_argument("--stride", type=integer, default=8)
+    p.add_argument("--rows", type=integer, default=16, help="table rows to print (tail)")
     p.set_defaults(func=cmd_asym)
 
     p = sub.add_parser("gessel", help="check the Bessel determinant identity against the counts")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--nmax", type=int, required=True)
+    p.add_argument("--k", type=integer, required=True)
+    p.add_argument("--nmax", type=integer, required=True)
     p.set_defaults(func=cmd_gessel)
 
     p = sub.add_parser("oeis", parents=[cache_flags], help="look terms up in the OEIS")
     p.add_argument("--terms", default=None, help="comma- or space-separated query terms")
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--r", type=int, default=None)
-    p.add_argument("--nmax", type=int, default=8)
+    p.add_argument("--d", type=integer, default=None)
+    p.add_argument("--r", type=integer, default=None)
+    p.add_argument("--nmax", type=integer, default=8)
     p.add_argument("--mode", choices=("remote", "local"), default="remote")
     p.add_argument("--dump", default=None, help="path to a 'stripped'-format dump (local mode)")
     p.set_defaults(func=cmd_oeis)

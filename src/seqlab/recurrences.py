@@ -8,11 +8,16 @@ an accepted recurrence is a certificate for the supplied terms, not a fit.
 
 Each system is eliminated modulo one prime: one prime, lifted; the next
 prime only when the first is unlucky. Full column rank modulo a prime proves
-the nullspace over Q is empty. Otherwise each free column's unique rational
-solution of the pivot rows is lifted p-adically from that elimination and
-checked exactly on every training window; if every lifted vector passes,
-the kernel over Q is at least as large as the one mod p, which is never
-larger, so the lift is the reduced-echelon basis over Q itself. A vector
+the nullspace over Q is empty, and that rejects most pairs, so one
+elimination per order screens them: with its columns grouped by power of n,
+the order's largest system holds each smaller degree's system as a prefix
+of its columns, and a prefix has full rank exactly when each of its columns
+is a pivot. Each pair the screen leaves is eliminated on its own. When its
+rank is not full, each free column's unique rational solution of the pivot
+rows is lifted p-adically from that elimination and checked exactly on
+every training window; if every lifted vector passes, the kernel over Q is
+at least as large as the one mod p, which is never larger, so the lift is
+the reduced-echelon basis over Q itself. A vector
 that fails a window shows the prime is unlucky, and the next prime of a
 ladder decides instead. A pair is left undecided only when the ladder runs
 out or a lift outgrows its top rung.
@@ -23,7 +28,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from math import gcd, isqrt, lcm
-from operator import mul
+from operator import mul, sub
 from time import perf_counter
 from typing import Iterable, Iterator, Sequence
 
@@ -199,7 +204,12 @@ def _kernel_mod(rows: Iterable[list[int]], ncols: int, p: int) -> Elimination | 
     stored from its pivot column on and zero at the pivots of the rows
     inserted before it, so one pass in insertion order clears every pivot.
     The multipliers of that pass and the inverse that scales the row to a
-    unit pivot are what make the pivot rows one LU factorization.
+    unit pivot are what make the pivot rows one LU factorization. A row's
+    lead is its first nonzero free column, and the pass zeroes it at every
+    pivot column, so each basis row is zero before its lead: the rank of
+    the first c columns is the number of pivots among them. The pass leaves
+    a row's entries unreduced and reduces only what it reads: each
+    multiplier and the lead test.
     """
     basis: list[tuple[int, list[int]]] = []
     pivots: list[tuple[int, list[int], int]] = []
@@ -208,11 +218,11 @@ def _kernel_mod(rows: Iterable[list[int]], ncols: int, p: int) -> Elimination | 
         row = [x % p for x in row]
         multipliers = []
         for col, tail in basis:
-            f = row[col]
+            f = row[col] % p
             multipliers.append(f)
             if f:
-                row[col:] = [(x - f * y) % p for x, y in zip(row[col:], tail)]
-        lead = next((j for j in free if row[j]), None)
+                row[col:] = map(sub, row[col:], map(f.__mul__, tail))
+        lead = next((j for j in free if row[j] % p), None)
         if lead is None:
             continue
         free.remove(lead)
@@ -339,6 +349,28 @@ def _window_rows(
         yield row
 
 
+def _rank_full_below(terms: Sequence[int], order: int, top: int, windows: int) -> int:
+    """The least degree up to ``top`` whose (order, degree) system on
+    ``windows`` windows is rank-deficient modulo PRIME_LADDER[0], or top + 1
+    when none is; below it every system is rank-full, so it has no
+    recurrence. One elimination of the (order, top) system decides every
+    degree: its columns are power-major (every shift's n^0 column, then
+    every shift's n^1 column, and so on), so the (order, degree) system, up
+    to the order of its columns, is its first (order+1)*(degree+1) columns,
+    and such a prefix has full rank exactly when each column in it is a
+    pivot (see _kernel_mod)."""
+    p = PRIME_LADDER[0]
+    residues = [t % p for t in terms]
+    rows = (
+        [x * n**j for j in range(top + 1) for x in residues[n : n + order + 1]]
+        for n in range(windows)
+    )
+    elimination = _kernel_mod(rows, (order + 1) * (top + 1), p)
+    if elimination is None:
+        return top + 1
+    return min(elimination[2]) // (order + 1)
+
+
 def guess(
     terms: Sequence[int],
     max_order: int = DEFAULT_MAX_ORDER,
@@ -353,9 +385,13 @@ def guess(
     ``holdout`` terms; a nullspace vector is accepted only if it also
     annihilates every window touching the held-out terms. Pairs with fewer
     training windows than unknowns are skipped -- an underdetermined system
-    always has solutions and proves nothing. The nullspace comes from one
-    prime, lifted; the next prime only when the first is unlucky: a pair of
-    full column rank modulo a prime is rejected with no exact work, and
+    always has solutions and proves nothing. When the first pair of an
+    order is reached, one elimination of that order's largest system in the
+    box screens all of its degrees (see _rank_full_below): a degree the
+    screen proves rank-full modulo the first prime is rejected with no
+    further work. Every other pair's nullspace comes from one prime,
+    lifted; the next prime only when the first is unlucky: a pair of full
+    column rank modulo a prime is rejected with no exact work, and
     otherwise the kernel lifted from that prime's elimination gives the
     basis that exact elimination over Q would (see the module docstring).
     A pair the ladder leaves unlucky, or whose lift outgrows its top rung,
@@ -366,9 +402,11 @@ def guess(
     to a quarter of the terms, at least 4, and ``max_degree`` to every
     degree whose order-1 system that holdout leaves determined. Returns None
     when nothing within the bounds fits (which says nothing about larger
-    bounds). Each tried pair is logged at INFO level with its unknowns,
-    seconds and verdict: "rank-full mod p", "undecided", "zero leading
-    polynomial", "held-out rejected" or "accepted".
+    bounds). Each screen is logged at INFO level with the degree it proves
+    rank-full below, its top degree, windows and seconds, and each tried
+    pair with its unknowns, seconds and verdict: "rank-full mod p",
+    "undecided", "zero leading polynomial", "held-out rejected" or
+    "accepted".
     """
     terms = [int(t) for t in terms]
     if max_order < 1 or (max_degree is not None and max_degree < 0):
@@ -393,13 +431,30 @@ def guess(
         ),
         key=lambda od: ((od[0] + 1) * (od[1] + 1), od[0]),
     )
+    rank_full_below: dict[int, int] = {}  # by order, from its screen
     for order, degree in pairs:
         unknowns = (order + 1) * (degree + 1)
         windows = train_len - order
         if windows < unknowns:
             continue
+        if order not in rank_full_below:
+            started = perf_counter()
+            top = min(max_degree, windows // (order + 1) - 1)
+            rank_full_below[order] = _rank_full_below(terms, order, top, windows)
+            log.info(
+                "guess screen: order %d rank-full below degree %d "
+                "(top degree %d, %d windows, %.4f s)",
+                order,
+                rank_full_below[order],
+                top,
+                windows,
+                perf_counter() - started,
+            )
         started = perf_counter()
-        found, verdict = _judge(terms, order, degree, windows, holdout)
+        if degree < rank_full_below[order]:
+            found, verdict = None, "rank-full mod p"
+        else:
+            found, verdict = _judge(terms, order, degree, windows, holdout)
         log.info(
             "guess order %d degree %d: %d unknowns, %.4f s, %s",
             order,

@@ -257,6 +257,11 @@ class TestCheck:
         assert lines[-1] == "PASS (d=3, r=1, n<=1559, skipped=1550)"
         assert lines[1559] == f"n=1559: skipped ({Decimal(factorial(1559))} words exceed budget 1000000)"
 
+    def test_budget_past_the_digit_limit(self, capsys):
+        # a 5000-digit option value, past Python's 4300-digit int() limit
+        assert main(["check", "--d", "3", "--r", "1", "--nmax", "3", "--budget", "9" * 5000]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "PASS (d=3, r=1, n<=3, skipped=0)"
+
     def test_one_dp_pass(self, capsys, monkeypatch):
         import seqlab.tableaux
 
@@ -306,6 +311,24 @@ class TestGuessAndExtend:
         ]
         assert main(args) == 0
         assert capsys.readouterr().err == ""
+
+    def test_stats_reports_each_screen(self, capsys, cache):
+        # one screen per order, printed before that order's first pair
+        assert main(["guess", "--d", "3", "--r", "1", "--nmax", "29", "--cache-dir", cache, "--stats"]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        screens = [
+            re.fullmatch(
+                r"stats: guess screen: order (\d+) rank-full below degree (\d+) "
+                r"\(top degree (\d+), (\d+) windows, \d+\.\d{4} s\)",
+                line,
+            )
+            for line in lines
+            if "guess screen" in line
+        ]
+        assert [m.group(1, 2, 3, 4) for m in screens] == [("1", "1", "10", "22"), ("2", "1", "6", "21")]
+        assert [line.split(":")[1] for line in lines[1:]] == [
+            " guess screen", " guess order 1 degree 0", " guess screen", " guess order 2 degree 0", " guess order 1 degree 1",
+        ]
 
     def test_default_box_finds_order_four(self, capsys, cache):
         assert main(["seq", "--d", "4", "--r", "2", "--nmax", "80",
@@ -533,6 +556,14 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as excinfo:
             main(["seq", "--d", "3"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("value", ["1_0", " 10", "\u0661"])
+    def test_integer_options_read_decimal_text_only(self, capsys, value):
+        # int() reads every one of these
+        with pytest.raises(SystemExit) as excinfo:
+            main(["check", "--d", "3", "--r", "1", "--nmax", "3", "--budget", value])
+        assert excinfo.value.code == 2
+        assert f"argument --budget: invalid integer value: {value!r}" in capsys.readouterr().err
 
     def test_bad_format_choice(self):
         with pytest.raises(SystemExit) as excinfo:

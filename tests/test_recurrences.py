@@ -1,4 +1,5 @@
 import logging
+import random
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from seqlab import recurrences
 from seqlab.recurrences import (
+    DEFAULT_MAX_ORDER,
     P,
     SCREEN_PRIME,
     InsufficientTermsError,
@@ -25,6 +27,7 @@ from seqlab.recurrences import (
     verify,
     _kernel_mod,
     _nonzero_mod_screen,
+    _rank_full_below,
     _window_rows,
 )
 from seqlab.tableaux import avoiders_sequence
@@ -36,6 +39,12 @@ CATALAN_REC = PRecurrence(((-2, -4), (2, 1)))  # (n+2) a(n+1) = (4n+2) a(n)
 ROOT = Path(__file__).resolve().parent.parent
 
 PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71]
+
+
+def reference_terms(name: str) -> list[int]:
+    """The terms of a reference file under perfbench/data."""
+    lines = (ROOT / "perfbench" / "data" / name).read_text().splitlines()
+    return [int(line.split()[1]) for line in lines if line.strip() and line[0] != "#"]
 
 
 class TestPolyHelpers:
@@ -171,7 +180,9 @@ class TestGuess:
 
 
 def verdicts(caplog):
-    return [r.getMessage().rsplit(", ", 1)[1] for r in caplog.records]
+    # the per-pair lines only, not the per-order screen lines
+    messages = (r.getMessage() for r in caplog.records)
+    return [m.rsplit(", ", 1)[1] for m in messages if m.startswith("guess order ")]
 
 
 # sum_i c_i(n) a(n+i) = 0 with seeds; each lead is nonzero for n >= 0
@@ -208,6 +219,41 @@ class TestModularScreen:
                     kept += 1
                 rejected += screened
         assert kept and rejected
+
+    @pytest.mark.parametrize("source", ["3,1", "4,1", "4,2", "random", "1,1+P"])
+    def test_screen_agrees_with_each_pairs_own_elimination(self, source):
+        terms = {
+            "3,1": lambda: avoiders_sequence(3, 1, 40),
+            "4,1": lambda: avoiders_sequence(4, 1, 40),
+            "4,2": lambda: avoiders_sequence(4, 2, 80),
+            "random": lambda rng=random.Random(23): [rng.randrange(10**30) for _ in range(60)],
+            "1,1+P": lambda: [1, 1 + P] * 20,
+        }[source]()
+        train_len = len(terms) - max(4, len(terms) // 4)
+        residues = [t % P for t in terms]
+        for order in range(1, 6):
+            windows = train_len - order
+            top = min(10, windows // (order + 1) - 1)
+            below = _rank_full_below(terms, order, top, windows)
+            for degree in range(top + 1):
+                rows = _window_rows(residues, order, degree, windows)
+                rank_full = _kernel_mod(rows, (order + 1) * (degree + 1), P) is None
+                assert (degree < below) == rank_full, (order, degree)
+
+    def test_one_elimination_per_order_on_the_default_box(self, monkeypatch):
+        # the (5,2) recurrence extended to 181 terms: every order the default
+        # box reaches is rank-full up to its largest determined degree
+        rec = parse_recurrence((ROOT / "survey" / "d5_r2.rec").read_text())
+        terms = extend(rec, reference_terms("d5_r2.txt")[: rec.order], 180)
+        widths = []
+        original = recurrences._kernel_mod
+        monkeypatch.setattr(
+            recurrences, "_kernel_mod", lambda rows, ncols, p: widths.append(ncols) or original(rows, ncols, p)
+        )
+        assert guess(terms) is None
+        assert len(widths) == DEFAULT_MAX_ORDER
+        # orders 1-4 at degrees 66, 43, 32 and 25
+        assert widths == [134, 132, 132, 130]
 
     def test_multiples_of_p_leave_the_exact_search_to_decide(self, monkeypatch, caplog):
         catalans = [P * catalan(n) for n in range(20)]
@@ -315,13 +361,22 @@ class TestSurveyRecurrence:
         # guessed from terms 0..180 with 20 held out; checked here against
         # the independently stored reference terms 0..85
         rec = parse_recurrence((ROOT / "survey" / "d5_r2.rec").read_text())
-        lines = (ROOT / "perfbench" / "data" / "d5_r2.txt").read_text().splitlines()
-        terms = [int(line.split()[1]) for line in lines if line.strip() and line[0] != "#"]
+        terms = reference_terms("d5_r2.txt")
         assert (rec.order, rec.degree, len(terms)) == (6, 16, 86)
         assert all(
             recurrence_residual(rec, terms, n) == 0 for n in range(len(terms) - rec.order)
         )
         assert extend(rec, terms[: rec.order], len(terms) - 1) == terms
+
+
+class TestBenchmarkGuesses:
+    @pytest.mark.parametrize("k", range(4))
+    def test_same_recurrence_and_no_recurrence_at_every_shift(self, k):
+        # the guesses of the discover-r2 and hard-r2 workloads at seed k
+        d4 = reference_terms("d4_r2.txt")
+        expected = (ROOT / "perfbench" / "data" / "d4_r2.rec").read_text()
+        assert format_recurrence(guess(d4[: 81 - k], 4, 8)) == expected
+        assert guess(reference_terms("d5_r2.txt")[: 45 - k], 5, 10) is None
 
 
 class TestTextFormat:
