@@ -76,9 +76,9 @@ def _cached_or_computed(args, n_max: int, store: bool = False) -> list[int]:
     layer checkpoint stored beside a shorter record, which ``layer_load``
     validates first, so only the layers past it are computed; with no
     checkpoint it starts at layer 0. With ``store`` the terms are stored
-    with the last layer as the next checkpoint: one ``key count`` line per
-    shape, for instance 166 lines for (3,1) at n = 330 and 5584 for
-    (5,2) at n = 44. Logs for --stats the layers computed and where they
+    with the last layer as the next checkpoint: a header and one line per
+    slice, for instance 2 lines for (3,1) at any n and 354 for (5,2) at
+    n = 44. Logs for --stats the layers computed and where they
     started. Rejects a negative --nmax before reading the cache, so no
     command's verdict on it depends on what is cached."""
     if args.nmax < 0:

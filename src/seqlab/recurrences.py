@@ -28,7 +28,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from math import gcd, isqrt, lcm
-from operator import mul, sub
+from operator import index, mul, sub
 from time import perf_counter
 from typing import Iterable, Iterator, Sequence
 
@@ -53,8 +53,10 @@ class InsufficientTermsError(ValueError):
 
 
 def poly_trim(coeffs: Iterable[int]) -> tuple[int, ...]:
-    """Canonical form: trailing zeros stripped; the zero polynomial is ()."""
-    c = tuple(int(x) for x in coeffs)
+    """Canonical form: trailing zeros stripped; the zero polynomial is ().
+    A coefficient that is no int, such as a float or a str, raises
+    TypeError rather than being truncated."""
+    c = tuple(map(index, coeffs))
     while c and c[-1] == 0:
         c = c[:-1]
     return c
@@ -144,9 +146,10 @@ def extend(rec: PRecurrence, seed: Sequence[int], n_max: int) -> list[int]:
     leading coefficient must be exact over the integers and is checked.
     Raises SingularLeadingCoefficientError when the leading coefficient is
     zero at a needed index and NonIntegerStepError when a division fails
-    (which signals a wrong recurrence, not a numeric problem).
+    (which signals a wrong recurrence, not a numeric problem). A seed term
+    that is no int, such as a float or a str, raises TypeError.
     """
-    terms = [int(t) for t in seed]
+    terms = list(map(index, seed))
     if len(terms) < rec.order + rec.offset:
         raise ValueError(
             f"seed must cover indices 0..{rec.order + rec.offset - 1}; "
@@ -402,13 +405,14 @@ def guess(
     to a quarter of the terms, at least 4, and ``max_degree`` to every
     degree whose order-1 system that holdout leaves determined. Returns None
     when nothing within the bounds fits (which says nothing about larger
-    bounds). Each screen is logged at INFO level with the degree it proves
+    bounds); a term that is no int, such as a float, raises TypeError.
+    Each screen is logged at INFO level with the degree it proves
     rank-full below, its top degree, windows and seconds, and each tried
     pair with its unknowns, seconds and verdict: "rank-full mod p",
     "undecided", "zero leading polynomial", "held-out rejected" or
     "accepted".
     """
-    terms = [int(t) for t in terms]
+    terms = list(map(index, terms))
     if max_order < 1 or (max_degree is not None and max_degree < 0):
         raise ValueError("need max_order >= 1 and max_degree >= 0")
     if holdout is None:

@@ -8,12 +8,13 @@ explicit argument, the SEQLAB_CACHE environment variable, or ``./.seqlab``:
   ``n a(n)`` from n = 0) with one leading '#' comment carrying the metadata.
 - ``A_d<d>_r<r>.layer``: the DP's layer table at some n that the b-file
   covers, written by ``seq`` after its b-file. One header line
-  ``# seqlab layer d=.. r=.. n=.. width=.. cap=..`` (``cap = d - 1`` fields
-  of ``width`` bits per key, see ``pack``), then one ``key count`` line per
-  shape in descending key order, both in hex: linear-time to convert and
-  free of the 4300-digit limit on decimal ints. It costs one line per shape
-  of that layer (166 for (3,1) at n = 330, 5584 for (5,2) at n = 44, 337,681
-  for (5,2) at n = 180) and one weighting of it to check when read.
+  ``# seqlab layer d=.. r=.. n=..``, then one line per slice of the table
+  (see ``tableaux.LayerTable``) in ascending slice order: the slice's row
+  count, its rows, then its run's counts from index 0, as lowercase hex
+  fields separated by single spaces. Hex is linear-time to convert and
+  free of the 4300-digit limit on decimal ints. It costs one line per slice
+  of that layer (one for d = 3 at any n; 353 for the 5584 shapes of (5,2)
+  at n = 44) and one weighting of it to check when read.
 
 Writes go through a temp file and an atomic rename, so concurrent runs can
 share a cache directory without corrupting it. A store keeps the longer
@@ -29,11 +30,11 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from decimal import Decimal
-from itertools import count as step_from
+from operator import index
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, TextIO, TypeVar
+from typing import Callable, Iterable, TextIO, TypeVar
 
-from .partitions import Partition, is_partition
+from .partitions import is_partition
 from .tableaux import Checkpoint, LayerTable
 
 log = logging.getLogger(__name__)
@@ -62,7 +63,8 @@ def _utc_now() -> str:
 @dataclass(frozen=True)
 class SequenceRecord:
     """One persisted sequence: the (d, r) key, terms from index 0, and how
-    the terms were obtained."""
+    the terms were obtained. A term that is no int, such as a float or a
+    str, raises TypeError."""
 
     d: int
     r: int
@@ -71,7 +73,7 @@ class SequenceRecord:
     timestamp: str = field(default_factory=_utc_now)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "terms", tuple(int(t) for t in self.terms))
+        object.__setattr__(self, "terms", tuple(map(index, self.terms)))
         if self.d < 2 or self.r < 1:
             raise ValueError("need d >= 2 and r >= 1")
         if not self.terms:
@@ -279,52 +281,14 @@ def _replace(path: Path, write: Callable[[TextIO], object]) -> None:
         raise
 
 
-def field_width(r: int, n: int) -> int:
-    """Bits per row in the keys of a layer-n checkpoint: enough for the
-    longest row that layer can have, ``r * n`` cells."""
-    return max(1, (r * n).bit_length())
-
-
-def pack(shape: Partition, cap: int, width: int) -> int:
-    """The key of ``shape``: ``cap`` fields of ``width`` bits, row 0 in the
-    most significant field and a zero field for every missing row.
-    Descending key order is reverse-lexicographic order on shapes, and
-    adding the key of a strip's row-by-row cell counts to a shape's key
-    gives the key of the grown shape."""
-    key = 0
-    for part in shape:
-        key = key << width | part
-    return key << width * (cap - len(shape))
-
-
-def unpack(key: int, cap: int, width: int) -> Partition:
-    """The partition whose key is ``key`` (the inverse of ``pack``)."""
-    rows = []
-    shift = width * (cap - 1)
-    while key:  # until only empty rows are left
-        rows.append(key >> shift)
-        key &= (1 << shift) - 1
-        shift -= width
-    return tuple(rows)
-
-
-def _keyed(table: LayerTable, size: int, cap: int, width: int) -> Iterator[tuple[int, int]]:
-    """``(key, count)`` for each shape of a table of shapes with ``size``
-    cells. Each step along a run moves a cell from row 0 to row 1: one key step."""
-    step = (1 << width * (cap - 1)) - (1 << width * (cap - 2)) if cap > 1 else 0
-    for part, run in table.items():
-        head = part[0] if part else 0
-        key = pack((size - sum(part) - head, head, *part)[:cap], cap, width)
-        yield from zip(step_from(key, -step), run)
-
-
-_LAYER_FIELDS = ("d", "r", "n", "width", "cap")
+_LAYER_FIELDS = ("d", "r", "n")
+_HEX_LINE = r"[0-9a-f]+(?: [0-9a-f]+)*\n?"  # compiled at first use, not on import
 
 
 def _layer_header(line: str) -> dict[str, int]:
     """The header fields of a layer checkpoint; ValueError unless the line
-    is a ``# seqlab layer`` header holding exactly d, r, n, width and cap,
-    as decimal ints."""
+    is a ``# seqlab layer`` header holding exactly d, r and n, as decimal
+    ints."""
     fields = _header_fields(line)
     if fields is None or fields.pop("layer", None) != "":
         raise ValueError(f"line 1: expected a '# seqlab layer' header, got {line[:80]!r}")
@@ -341,13 +305,13 @@ def layer_load(
 ) -> Checkpoint | None:
     """The layer checkpoint stored beside ``record``, or None when there is
     none. The file comes from outside the program, so before anything
-    resumes from it, it must hold: a header with the record's d and r,
-    ``cap = d - 1`` and the width ``field_width(r, n)``; ``n <
-    len(record.terms)``; strictly descending keys that decode to partitions
-    of ``r * n`` with at most ``cap`` rows and leave no gap in a run (see
-    ``tableaux.LayerTable``), with positive counts; and a weighted total
-    equal to the cached a(n). Anything else raises CacheError naming the
-    path."""
+    resumes from it, it must hold: a header with the record's d and r and
+    ``n < len(record.terms)``; lines of lowercase hex fields, each a slice
+    that is a partition and appears only once, then a nonempty run of
+    positive counts; and a table that weighs to the cached a(n), a
+    weighting that also rejects a slice too tall for d or a run past row 0
+    (see ``tableaux._weighted_total``). Anything else raises CacheError
+    naming the path."""
     path = layer_path(resolve_cache_dir(cache_dir), record.d, record.r)
     return _read(path, "layer checkpoint", lambda handle: _parse_layer(handle, record))
 
@@ -355,40 +319,25 @@ def layer_load(
 def _parse_layer(lines: Iterable[str], record: SequenceRecord) -> Checkpoint:
     lines = iter(lines)
     header = _layer_header(next(lines, ""))
-    d, r, n, width, cap = (header[key] for key in _LAYER_FIELDS)
+    d, r, n = (header[key] for key in _LAYER_FIELDS)
     if (d, r) != (record.d, record.r):
         raise ValueError(f"header says d={d} r={r}, expected d={record.d} r={record.r}")
-    if cap != d - 1:
-        raise ValueError(f"header says cap={cap}, expected {d - 1}")
     if not 0 <= n < len(record.terms):
         raise ValueError(f"layer {n} is not among the {len(record.terms)} cached terms")
-    if width != field_width(r, n):
-        raise ValueError(f"header says width={width}, expected {field_width(r, n)}")
-    size, table, last = r * n, LayerTable(), 1 << width * cap  # last: above every key
+    table = LayerTable()
     for lineno, line in enumerate(lines, start=2):
-        fields = line.split()
-        if len(fields) != 2:
-            raise ValueError(f"line {lineno}: expected 'key count', got {line[:80]!r}")
-        try:
-            key, count = int(fields[0], 16), int(fields[1], 16)
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: non-hex field in {line[:80]!r}") from exc
-        shape = unpack(key, cap, width)
-        if sum(shape) != size or not is_partition(shape):
-            raise ValueError(
-                f"line {lineno}: key {fields[0]} is no partition of {size} into at most {cap} rows"
-            )
-        if count <= 0:
-            raise ValueError(f"line {lineno}: count {fields[1]} is not positive")
-        if key >= last:
-            raise ValueError(f"line {lineno}: key {fields[0]} appears twice or out of order")
-        last = key
-        # in descending key order, each run's shapes come in index order
-        _, row1, row2, *_ = (*shape, 0, 0, 0)
-        run = table.setdefault(shape[2:], [])
-        if row1 - row2 != len(run):
-            raise ValueError(f"line {lineno}: key {fields[0]} leaves a gap in its run")
-        run.append(count)
+        if re.fullmatch(_HEX_LINE, line) is None:
+            raise ValueError(f"line {lineno}: non-hex field in {line[:80]!r}")
+        rows, *fields = (int(field, 16) for field in line.split())
+        part, run = tuple(fields[:rows]), fields[rows:]
+        if not run:
+            raise ValueError(f"line {lineno}: the run is empty in {line[:80]!r}")
+        if not is_partition(part):
+            raise ValueError(f"line {lineno}: the slice is no partition in {line[:80]!r}")
+        if 0 in run:
+            raise ValueError(f"line {lineno}: a count is not positive in {line[:80]!r}")
+        if table.setdefault(part, run) is not run:
+            raise ValueError(f"line {lineno}: its slice appears twice")
     layer = Checkpoint(n, table)
     if layer.count(d, r) != record.terms[n]:
         raise ValueError(f"layer {n} does not weigh to the cached a({n})")
@@ -400,8 +349,9 @@ def _layer_store(record: SequenceRecord, layer: Checkpoint, directory: Path) -> 
     disk. The checkpoint on disk stays when it is at the same or a higher n
     that ``record`` still covers (keep-highest, as the b-file keeps the
     longest record); one the record does not cover, or that has no readable
-    header, is replaced. The lines are written from the table's ``items()``
-    as they come."""
+    header, is replaced. The lines are the table's ``items()`` in ascending
+    slice order, so the bytes depend on the table alone, not on the order
+    the engine built it in."""
     d, r = record.d, record.r
     path = layer_path(directory, d, r)
     try:
@@ -422,11 +372,9 @@ def _layer_store(record: SequenceRecord, layer: Checkpoint, directory: Path) -> 
         )
         return
 
-    width = field_width(r, layer.n)
-    keyed = sorted(_keyed(layer.table, r * layer.n, d - 1, width), reverse=True)
-
     def write(handle: TextIO) -> None:
-        handle.write(f"# seqlab layer d={d} r={r} n={layer.n} width={width} cap={d - 1}\n")
-        handle.writelines(f"{key:x} {count:x}\n" for key, count in keyed)
+        handle.write(f"# seqlab layer d={d} r={r} n={layer.n}\n")
+        for part, run in sorted(layer.table.items()):
+            handle.write(" ".join(map("{:x}".format, (len(part), *part, *run))) + "\n")
 
     _replace(path, write)

@@ -11,10 +11,10 @@ import pytest
 
 from seqlab.cli import main
 from seqlab.recurrences import format_recurrence, guess, parse_recurrence, verify
-from seqlab.storage import SequenceRecord, cache_load, cache_path, cache_store, field_width, layer_path
+from seqlab.storage import CacheError, SequenceRecord, cache_load, cache_path, cache_store, layer_load, layer_path
 from seqlab.tableaux import avoiders_sequence
 
-from helpers import catalan
+from helpers import catalan, cold_tables
 
 
 @pytest.fixture
@@ -134,14 +134,33 @@ class TestResume:
         terms = reference_terms(reference)[: hi + 1] if reference else [catalan(n) for n in range(hi + 1)]
         assert want == "".join(f"{t}\n" for t in terms)
 
-    def test_resume_across_a_wider_field(self, capsys, cache):
-        assert (field_width(1, 15), field_width(1, 40)) == (4, 6)
+    def test_checkpoint_in_the_old_format_is_reported(self, capsys, cache):
+        # a .layer file from before slices and runs: one hex `key count`
+        # line per shape, the shape packed into cap = d - 1 fields of width
+        # bits, row 0 on top, in descending key order
         self.seq(capsys, cache, 3, 1, 15)
-        header = layer_path(cache, 3, 1).read_text().splitlines()[0]
-        assert header == "# seqlab layer d=3 r=1 n=15 width=4 cap=2"
-        self.seq(capsys, cache, 3, 1, 40)
-        header = layer_path(cache, 3, 1).read_text().splitlines()[0]
-        assert header == "# seqlab layer d=3 r=1 n=40 width=6 cap=2"
+        path, bfile = layer_path(cache, 3, 1), cache_path(cache, 3, 1)
+        lines = []
+        for shape, count in cold_tables(3, 1, 15)[-1].items():  # descending key order
+            row0, row1 = (*shape, 0)[:2]
+            lines.append(f"{row0 << 4 | row1:x} {count:x}\n")
+        path.write_text("# seqlab layer d=3 r=1 n=15 width=4 cap=2\n" + "".join(lines))
+        good = bfile.read_text()
+        fields = r"header fields are \['cap', 'd', 'n', 'r', 'width'\], expected \['d', 'r', 'n'\]"
+        with pytest.raises(CacheError, match=fields) as excinfo:
+            layer_load(cache_load(3, 1, cache), cache)
+        assert excinfo.value.path == path
+        assert main(["seq", "--d", "3", "--r", "1", "--nmax", "20", "--cache-dir", cache]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.search(fields, err) and err.rstrip().endswith(f"[{path}]")
+        assert bfile.read_text() == good
+        # the b-file still serves what it covers
+        assert self.seq(capsys, cache, 3, 1, 15).out == "".join(f"{catalan(n)}\n" for n in range(16))
+        # with the old file deleted, a longer seq starts from layer 0
+        path.unlink()
+        assert self.seq(capsys, cache, 3, 1, 20, "--stats").err == "stats: dp layers computed = 20\n"
+        assert layer_path(cache, 3, 1).read_text().splitlines()[0] == "# seqlab layer d=3 r=1 n=20"
 
     @pytest.mark.parametrize("command", [
         ["guess"], ["asym"], ["oeis", "--mode", "local", "--dump", "DUMP"],

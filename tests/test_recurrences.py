@@ -52,6 +52,14 @@ class TestPolyHelpers:
         assert poly_trim([1, 2, 0, 0]) == (1, 2)
         assert poly_trim([0, 0]) == ()
 
+    @pytest.mark.parametrize("coeff", [2.5, 2.0, "2"])
+    def test_trim_rejects_a_coefficient_that_is_no_int(self, coeff):
+        # no truncation to 2, for a bare polynomial or a recurrence's
+        with pytest.raises(TypeError):
+            poly_trim([1, coeff])
+        with pytest.raises(TypeError):
+            PRecurrence(((-2, -4), (coeff, 1)))
+
     def test_degree(self):
         assert poly_degree(()) == -1
         assert poly_degree((5,)) == 0
@@ -124,6 +132,12 @@ class TestExtend:
         with pytest.raises(ValueError):
             extend(CATALAN_REC, [], 5)
 
+    @pytest.mark.parametrize("seed", [[1.9], [1, 1.0], [1, "1"]])
+    def test_seed_term_that_is_no_int_rejected(self, seed):
+        # 1.9 is not seeded as 1, which would give the Catalan numbers
+        with pytest.raises(TypeError):
+            extend(CATALAN_REC, seed, 6)
+
     def test_inconsistent_seed_rejected(self):
         with pytest.raises(ValueError, match="inconsistent"):
             extend(CATALAN_REC, [1, 1, 2, 5, 15], 8)
@@ -138,6 +152,12 @@ class TestGuess:
         terms = [catalan(n) for n in range(10)]
         rec = guess(terms, max_order=2, max_degree=2, holdout=3)
         assert rec == CATALAN_REC
+
+    def test_terms_that_are_no_ints_rejected(self):
+        # truncated, these floats would be the Catalan numbers above
+        terms = [catalan(n) + 0.3 for n in range(10)]
+        with pytest.raises(TypeError):
+            guess(terms, max_order=2, max_degree=2, holdout=3)
 
     def test_constant_sequence(self):
         rec = guess([1] * 8)

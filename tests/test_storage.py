@@ -15,22 +15,18 @@ from seqlab.storage import (
     cache_load,
     cache_path,
     cache_store,
-    field_width,
     format_bfile,
     int_to_text,
     layer_load,
     layer_path,
-    pack,
     parse_bfile,
     record_to_bfile,
     resolve_cache_dir,
     text_to_int,
-    unpack,
 )
-from seqlab.partitions import partitions_upto_length
 from seqlab.tableaux import Checkpoint, LayerTable, avoiders_sequence
 
-from helpers import catalan, cold_tables, decoded
+from helpers import catalan, cold_tables
 
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "data"
 
@@ -71,6 +67,12 @@ class TestSequenceRecord:
     def test_rejects_wrong_first_term(self):
         with pytest.raises(ValueError):
             record(terms=(2, 3))
+
+    @pytest.mark.parametrize("term", [1.7, 1.0, "2", "1_4"])
+    def test_rejects_a_term_that_is_no_int(self, term):
+        # no truncation: (1, 1.7, '2', '1_4') is not (1, 1, 2, 14)
+        with pytest.raises(TypeError):
+            record(terms=(1, 1, term))
 
     def test_rejects_bad_provenance(self):
         with pytest.raises(ValueError):
@@ -234,31 +236,6 @@ class TestCache:
         assert cache_load(3, 1, tmp_path).terms == big
 
 
-class TestPackedKeys:
-    @pytest.mark.parametrize("cap", [1, 2, 3, 4])
-    def test_round_trip_and_order(self, cap):
-        for total in range(13):
-            expected = list(partitions_upto_length(total, cap))
-            keys = [pack(shape, cap, 4) for shape in expected]
-            assert [unpack(key, cap, 4) for key in keys] == expected
-            # descending keys are reverse-lexicographic shapes
-            assert keys == sorted(keys, reverse=True)
-
-    def test_layout(self):
-        # row 0 in the top field, an empty row is a zero field
-        assert pack((5, 3), 3, 4) == 5 << 8 | 3 << 4
-        assert pack((), 3, 4) == 0
-        assert unpack(5 << 8 | 3 << 4, 3, 4) == (5, 3)
-
-    def test_strip_is_one_addition(self):
-        assert pack((4, 2, 1), 3, 8) == pack((3, 2), 3, 8) + pack((1, 0, 1), 3, 8)
-
-    def test_width_covers_the_longest_row(self):
-        assert [field_width(r, n) for r, n in [(1, 0), (1, 1), (2, 2), (1, 8), (5, 51)]] == [
-            1, 1, 3, 4, 8
-        ]
-
-
 def stored_layer(directory, d=3, r=1, n=12):
     """The record 0..n and its layer-n checkpoint, both stored."""
     layer = Checkpoint()
@@ -275,14 +252,19 @@ def edit_line(text, index, line):
 
 class TestLayerCheckpoint:
     def test_round_trip(self, tmp_path):
-        rec, layer = stored_layer(tmp_path)
-        assert layer.n == 12
+        rec, layer = stored_layer(tmp_path, d=4, n=12)
         assert layer_load(rec, tmp_path) == layer
-        text = layer_path(tmp_path, 3, 1).read_text()
-        assert text.splitlines()[0] == "# seqlab layer d=3 r=1 n=12 width=4 cap=2"
-        # one line per shape, in descending key order
-        shapes = decoded(layer.table, 12)
-        assert text.splitlines()[1:] == [f"{pack(shape, 2, 4):x} {c:x}" for shape, c in shapes.items()]
+        # one line per slice (row 2 here) in ascending slice order: the row
+        # count, the rows, then the run's counts from row 1 = row 2, in hex;
+        # the first run is the shapes (12 - i, i), the last (4, 4, 4) alone
+        assert layer_path(tmp_path, 4, 1).read_text().splitlines() == [
+            "# seqlab layer d=4 r=1 n=12",
+            "0 1 b 36 9a 113 129 84",
+            "1 1 37 140 37b 580 483",
+            "1 2 268 785 a71 528",
+            "1 3 672 840",
+            "1 4 1ce",
+        ]
 
     @pytest.mark.parametrize("d, r, n", [(2, 3, 6), (3, 1, 0), (3, 2, 9), (5, 2, 12), (6, 1, 11)])
     def test_read_back_equals_the_computed_checkpoint(self, tmp_path, d, r, n):
@@ -290,19 +272,30 @@ class TestLayerCheckpoint:
         rec, layer = stored_layer(tmp_path, d, r, n)
         assert all(run and 0 not in run for _, run in layer.table.items())
         assert layer_load(rec, tmp_path) == layer
+        # one line per slice, in ascending slice order whatever the table's
+        slices = []
+        for line in layer_path(tmp_path, d, r).read_text().splitlines()[1:]:
+            rows, *fields = (int(field, 16) for field in line.split())
+            slices.append(tuple(fields[:rows]))
+        assert slices == sorted(layer.table)
 
-    def test_checkpoint_packed_by_hand_resumes(self, tmp_path):
-        # a layer file laid out key by key, as a checkpoint written before
-        # tables were kept in runs: d = 4, so 3 fields of field_width(2, 10)
-        # = 5 bits, row 0 on top, lines in descending key order
+    def test_checkpoint_written_by_hand_resumes(self, tmp_path):
+        # a layer file laid out slice by slice from the shapes of a cold
+        # pass: d = 4, so each slice is row 2, and its run is indexed by
+        # row 1 minus row 2
         reference = [int(line.split()[1]) for line in (REFERENCE / "d4_r2.txt").read_text().splitlines()
                      if line.strip() and line[0] != "#"]
         rec = record(d=4, r=2, terms=reference[:11])
         cache_store(rec, tmp_path)
-        table = cold_tables(4, 2, 10)[-1]
-        keys = {sum(row << 5 * (2 - i) for i, row in enumerate(shape)): count for shape, count in table.items()}
-        lines = [f"{key:x} {keys[key]:x}\n" for key in sorted(keys, reverse=True)]
-        layer_path(tmp_path, 4, 2).write_text("# seqlab layer d=4 r=2 n=10 width=5 cap=3\n" + "".join(lines))
+        runs = {}
+        for shape, count in cold_tables(4, 2, 10)[-1].items():
+            _, row1, row2 = (*shape, 0, 0)[:3]
+            runs.setdefault(shape[2:], {})[row1 - row2] = count
+        lines = []
+        for part, run in sorted(runs.items()):
+            fields = (len(part), *part, *(run[i] for i in range(len(run))))
+            lines.append(" ".join(f"{field:x}" for field in fields) + "\n")
+        layer_path(tmp_path, 4, 2).write_text("# seqlab layer d=4 r=2 n=10\n" + "".join(lines))
         layer = layer_load(rec, tmp_path)
         assert layer.n == 10
         assert avoiders_sequence(4, 2, 20, layer) == reference[11:21]
@@ -313,41 +306,46 @@ class TestLayerCheckpoint:
 
     @pytest.mark.parametrize("corrupt, message", [
         (lambda text: text[: len(text) // 2], "corrupt layer checkpoint"),
-        (lambda text: edit_line(text, 1, "c0 1g\n"), "non-hex"),
-        (lambda text: edit_line(text, 1, f"{pack((5, 7), 2, 4):x} 1\n"), "no partition"),
-        (lambda text: edit_line(text, 1, f"{pack((13,), 2, 4):x} 1\n"), "no partition"),
-        (lambda text: edit_line(text, 1, "c0 0\n"), "not positive"),
-        (lambda text: text.replace("\nc0 1\n", "\nc0 2\n"), "does not weigh"),
+        (lambda text: edit_line(text, 1, "0 1g\n"), "non-hex"),
+        (lambda text: text.replace(" 9a ", " 9A "), "non-hex"),
+        (lambda text: edit_line(text, 5, "2 2 5 1\n"), "no partition"),
+        (lambda text: edit_line(text, 5, "2 3 0 1\n"), "no partition"),
+        (lambda text: edit_line(text, 5, "1 d 1\n"), r"no run of 1 shapes .* = \(13,\)"),
+        (lambda text: text + "2 1 1 1\n", r"no run of 1 shapes of at most 3 rows has rows 2\.\. = \(1, 1\)"),
+        (lambda text: text.replace("\n1 4 1ce\n", "\n1 4 1ce 1\n"), r"no run of 2 shapes .* = \(4,\)"),
+        (lambda text: text.replace("\n1 4 1ce\n", "\n1 4\n"), "run is empty"),
+        (lambda text: text.replace("\n1 4 1ce\n", "\n1 4 0\n"), "not positive"),
+        (lambda text: text.replace("\n1 4 1ce\n", "\n1 4 1cf\n"), "does not weigh"),
         (lambda text: text + text.splitlines(keepends=True)[-1], "twice"),
-        (lambda text: text.replace("\nb1 b\n", "\n"), "gap in its run"),
-        (lambda text: text.replace("d=3 r=1", "d=4 r=1"), "expected d=3 r=1"),
-        (lambda text: text.replace("width=4", "width=5"), "width"),
-        (lambda text: text.replace(" cap=2", ""), "header fields"),
+        (lambda text: text.replace("d=4 r=1", "d=5 r=1"), "expected d=4 r=1"),
+        (lambda text: text.replace(" n=12", ""), "header fields"),
         (lambda text: text.replace("n=12", "n=13"), "not among"),
         (lambda text: text.replace("n=12", "n=1_2"), "non-integer header field"),
     ], ids=[
-        "truncated", "bad-hex", "non-partition", "row-sum", "zero-count", "wrong-total",
-        "duplicate", "gap", "other-key", "width", "header", "past-the-terms", "underscore-header",
+        "truncated", "bad-hex", "upper-case", "non-partition", "zero-row", "row-sum", "too-tall",
+        "past-row-0", "empty-run", "zero-count", "wrong-total", "duplicate", "other-key", "header",
+        "past-the-terms", "underscore-header",
     ])
     def test_corrupt_checkpoint_reported_with_path(self, tmp_path, corrupt, message):
-        rec, _ = stored_layer(tmp_path)
-        path = layer_path(tmp_path, 3, 1)
+        rec, _ = stored_layer(tmp_path, d=4, n=12)
+        path = layer_path(tmp_path, 4, 1)
         path.write_text(corrupt(path.read_text()))
         with pytest.raises(CacheError, match=message) as excinfo:
             layer_load(rec, tmp_path)
         assert excinfo.value.path == path
         assert str(path) in str(excinfo.value)
 
-    def test_keys_out_of_order_are_reported(self, tmp_path):
+    def test_slice_appearing_twice_is_reported(self, tmp_path):
+        # a run split over two lines, each a valid run of the same slice
         rec, _ = stored_layer(tmp_path, d=4, n=8)
         path = layer_path(tmp_path, 4, 1)
         lines = path.read_text().splitlines(keepends=True)
-        slices = [unpack(int(line.split()[0], 16), 3, 4)[2:] for line in lines[1:]]
-        # swap two neighbours from different runs: no run gets a gap
-        i = 1 + next(i for i in range(len(slices) - 1) if slices[i] != slices[i + 1])
-        lines[i : i + 2] = lines[i + 1], lines[i]
+        rows, row2, first, *rest = lines[2].split()
+        assert (rows, row2) == ("1", "1") and rest
+        lines[2] = f"1 1 {first}\n"
+        lines.append(" ".join(["1", "1", *rest]) + "\n")
         path.write_text("".join(lines))
-        with pytest.raises(CacheError, match="out of order"):
+        with pytest.raises(CacheError, match=f"line {len(lines)}: its slice appears twice"):
             layer_load(rec, tmp_path)
 
     def test_checkpoint_must_weigh_to_the_cached_term(self, tmp_path):
