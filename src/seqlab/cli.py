@@ -151,12 +151,15 @@ def cmd_guess(args) -> int:
     terms = _cached_or_computed(args, args.nmax)[: args.nmax + 1]
     rec = guess(terms, args.max_order, args.max_degree, args.holdout)
     if rec is None:
-        max_degree = args.max_degree
-        if max_degree is None:
-            max_degree = determined_degree(len(terms), args.holdout)
+        max_degree = determined_degree(len(terms), args.holdout) if args.max_degree is None else args.max_degree
+        # the terms may determine the top order's systems only to a lower degree
+        top = determined_degree(len(terms), args.holdout, args.max_order)
+        reach = "" if top >= max_degree else f"order {args.max_order} searched only to degree {top}, the most the terms determine; "
+        if top < 0:
+            reach = f"order {args.max_order} not searched, the terms determine none of its degrees; "
         print(
             f"no recurrence found within order {args.max_order}, degree "
-            f"{max_degree} (not a disproof; try more terms or wider bounds)"
+            f"{max_degree} ({reach}not a disproof; try more terms or wider bounds)"
         )
         return 1
     text = format_recurrence(rec)

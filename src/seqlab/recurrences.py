@@ -6,21 +6,20 @@ annihilates a held-out tail it never saw. There is no floating point
 anywhere in this module, and exact integer arithmetic is the only judge, so
 an accepted recurrence is a certificate for the supplied terms, not a fit.
 
-Each system is eliminated modulo one prime: one prime, lifted; the next
-prime only when the first is unlucky. Full column rank modulo a prime proves
-the nullspace over Q is empty, and that rejects most pairs, so one
-elimination per order screens them: with its columns grouped by power of n,
-the order's largest system holds each smaller degree's system as a prefix
-of its columns, and a prefix has full rank exactly when each of its columns
-is a pivot. Each pair the screen leaves is eliminated on its own. When its
-rank is not full, each free column's unique rational solution of the pivot
-rows is lifted p-adically from that elimination and checked exactly on
-every training window; if every lifted vector passes, the kernel over Q is
-at least as large as the one mod p, which is never larger, so the lift is
-the reduced-echelon basis over Q itself. A vector
-that fails a window shows the prime is unlucky, and the next prime of a
-ladder decides instead. A pair is left undecided only when the ladder runs
-out or a lift outgrows its top rung.
+Each order's largest system is eliminated once modulo a prime: one prime,
+lifted; the next prime only when the first is unlucky. With its columns
+grouped by power of n, that system holds each smaller degree's system as a
+prefix of its columns, and the elimination of a prefix is a prefix of the
+elimination, so every pair is judged from its order's one elimination. Full
+column rank modulo a prime proves the nullspace over Q is empty, and that
+rejects most pairs. When the rank is not full, each free column's unique
+rational solution of the pivot rows is lifted p-adically from that
+elimination and checked exactly on every training window; if every lifted
+vector passes, the kernel over Q is at least as large as the one mod p,
+which is never larger, so the lift is the reduced-echelon basis over Q
+itself. A vector that fails a window shows the prime is unlucky, and the
+next prime of a ladder decides instead. A pair is left undecided only when
+the ladder runs out or a lift outgrows its top rung.
 """
 
 from __future__ import annotations
@@ -327,51 +326,54 @@ def _default_holdout(n_terms: int) -> int:
     return max(4, n_terms // 4)
 
 
-def determined_degree(n_terms: int, holdout: int | None = None) -> int:
-    """Largest degree whose order-1 training system from ``n_terms`` terms
-    is still determined (at least as many windows as unknowns); 0 when no
-    degree is. ``holdout`` defaults as in guess."""
+def determined_degree(n_terms: int, holdout: int | None = None, order: int = 1) -> int:
+    """Largest degree whose (order, degree) training system from ``n_terms``
+    terms is still determined (at least as many windows as unknowns); -1
+    when no degree is. guess searches each order up to it. ``holdout``
+    defaults as in guess."""
     if holdout is None:
         holdout = _default_holdout(n_terms)
-    windows = n_terms - holdout - 1
-    return max(0, windows // 2 - 1)
+    return max(-1, (n_terms - holdout - order) // (order + 1) - 1)
 
 
-def _window_rows(
-    terms: Sequence[int], order: int, degree: int, windows: int
-) -> Iterator[list[int]]:
-    """Rows of the (order, degree) system: terms[n+i] * n**j for window n,
-    shift i and power j, shift-major."""
+def _rows(values: Sequence[int], order: int, degree: int, windows: int) -> Iterator[list[int]]:
+    """Rows of the (order, degree) system: values[n+i] * n**j for window n,
+    power j and shift i, power-major (every shift's n^0 column, then every
+    shift's n^1 column, and so on), so each smaller degree's system is a
+    prefix of the columns."""
     for n in range(windows):
-        row: list[int] = []
-        for i in range(order + 1):
-            entry = terms[n + i]
-            for _ in range(degree + 1):
-                row.append(entry)
-                entry *= n
-        yield row
+        window = values[n : n + order + 1]
+        yield [x * n**j for j in range(degree + 1) for x in window]
 
 
-def _rank_full_below(terms: Sequence[int], order: int, top: int, windows: int) -> int:
-    """The least degree up to ``top`` whose (order, degree) system on
-    ``windows`` windows is rank-deficient modulo PRIME_LADDER[0], or top + 1
-    when none is; below it every system is rank-full, so it has no
-    recurrence. One elimination of the (order, top) system decides every
-    degree: its columns are power-major (every shift's n^0 column, then
-    every shift's n^1 column, and so on), so the (order, degree) system, up
-    to the order of its columns, is its first (order+1)*(degree+1) columns,
-    and such a prefix has full rank exactly when each column in it is a
-    pivot (see _kernel_mod)."""
-    p = PRIME_LADDER[0]
+def _eliminate(terms: list[int], order: int, degree: int, windows: int, p: int) -> Elimination | None:
+    """The (order, degree) system on ``windows`` windows, eliminated modulo p."""
     residues = [t % p for t in terms]
-    rows = (
-        [x * n**j for j in range(top + 1) for x in residues[n : n + order + 1]]
-        for n in range(windows)
-    )
-    elimination = _kernel_mod(rows, (order + 1) * (top + 1), p)
+    return _kernel_mod(_rows(residues, order, degree, windows), (order + 1) * (degree + 1), p)
+
+
+def _prefix(elimination: Elimination | None, ncols: int) -> Elimination | None:
+    """What _kernel_mod gives on the first ``ncols`` columns of the rows
+    ``elimination`` eliminated: None when they have full rank. Each basis
+    row is zero before its lead, so a row led at or past ``ncols`` never
+    touches the prefix: dropping it and its multipliers, and cutting the
+    other rows' tails at ``ncols``, leaves the prefix's elimination."""
     if elimination is None:
-        return top + 1
-    return min(elimination[2]) // (order + 1)
+        return None
+    basis, pivots, free = elimination
+    free = [j for j in free if j < ncols]
+    if not free:
+        return None
+    kept = [lead < ncols for lead, _ in basis]
+    return (
+        [(lead, tail[: ncols - lead]) for (lead, tail), keep in zip(basis, kept) if keep],
+        [
+            (index, [f for f, keep in zip(multipliers, kept) if keep], inverse)
+            for (index, multipliers, inverse), keep in zip(pivots, kept)
+            if keep
+        ],
+        free,
+    )
 
 
 def guess(
@@ -389,16 +391,15 @@ def guess(
     annihilates every window touching the held-out terms. Pairs with fewer
     training windows than unknowns are skipped -- an underdetermined system
     always has solutions and proves nothing. When the first pair of an
-    order is reached, one elimination of that order's largest system in the
-    box screens all of its degrees (see _rank_full_below): a degree the
-    screen proves rank-full modulo the first prime is rejected with no
-    further work. Every other pair's nullspace comes from one prime,
-    lifted; the next prime only when the first is unlucky: a pair of full
-    column rank modulo a prime is rejected with no exact work, and
-    otherwise the kernel lifted from that prime's elimination gives the
-    basis that exact elimination over Q would (see the module docstring).
-    A pair the ladder leaves unlucky, or whose lift outgrows its top rung,
-    is "undecided" and rejected.
+    order is reached, that order's largest system in the box is eliminated
+    modulo the first prime, and every pair of the order is judged from a
+    prefix of that elimination (see _judge): a pair of full column rank
+    modulo a prime is rejected with no exact work, and otherwise the kernel
+    lifted from the prefix gives the basis that exact elimination over Q
+    would (see the module docstring). The order's system is eliminated
+    modulo the next prime only when a pair of the order is unlucky at the
+    one before. A pair the ladder leaves unlucky, or whose lift outgrows
+    its top rung, is "undecided" and rejected.
 
     The whole search box is available when ``len(terms)`` is at least
     (max_order+1)*(max_degree+1) + holdout + max_order. ``holdout`` defaults
@@ -406,8 +407,9 @@ def guess(
     degree whose order-1 system that holdout leaves determined. Returns None
     when nothing within the bounds fits (which says nothing about larger
     bounds); a term that is no int, such as a float, raises TypeError.
-    Each screen is logged at INFO level with the degree it proves
-    rank-full below, its top degree, windows and seconds, and each tried
+    Each order's first-prime elimination is logged at INFO level as a
+    screen, with the least degree it leaves rank-deficient (its top degree
+    plus one when none), its top degree, windows and seconds, and each tried
     pair with its unknowns, seconds and verdict: "rank-full mod p",
     "undecided", "zero leading polynomial", "held-out rejected" or
     "accepted".
@@ -426,44 +428,36 @@ def guess(
         )
     if max_degree is None:
         max_degree = determined_degree(len(terms), holdout)
-    train_len = len(terms) - holdout
     pairs = sorted(
-        (
-            (order, degree)
-            for order in range(1, max_order + 1)
-            for degree in range(max_degree + 1)
-        ),
+        ((order, degree) for order in range(1, max_order + 1) for degree in range(max_degree + 1)),
         key=lambda od: ((od[0] + 1) * (od[1] + 1), od[0]),
     )
-    rank_full_below: dict[int, int] = {}  # by order, from its screen
+    eliminations: dict[int, list[Elimination | None]] = {}  # by order, one per rung
     for order, degree in pairs:
-        unknowns = (order + 1) * (degree + 1)
-        windows = train_len - order
-        if windows < unknowns:
+        top = min(max_degree, determined_degree(len(terms), holdout, order))
+        if degree > top:
             continue
-        if order not in rank_full_below:
+        windows = len(terms) - holdout - order
+        if order not in eliminations:
             started = perf_counter()
-            top = min(max_degree, windows // (order + 1) - 1)
-            rank_full_below[order] = _rank_full_below(terms, order, top, windows)
+            first = _eliminate(terms, order, top, windows, PRIME_LADDER[0])
+            eliminations[order] = [first]
             log.info(
                 "guess screen: order %d rank-full below degree %d "
                 "(top degree %d, %d windows, %.4f s)",
                 order,
-                rank_full_below[order],
+                top + 1 if first is None else min(first[2]) // (order + 1),
                 top,
                 windows,
                 perf_counter() - started,
             )
         started = perf_counter()
-        if degree < rank_full_below[order]:
-            found, verdict = None, "rank-full mod p"
-        else:
-            found, verdict = _judge(terms, order, degree, windows, holdout)
+        found, verdict = _judge(terms, order, degree, top, holdout, eliminations[order])
         log.info(
             "guess order %d degree %d: %d unknowns, %.4f s, %s",
             order,
             degree,
-            unknowns,
+            (order + 1) * (degree + 1),
             perf_counter() - started,
             verdict,
         )
@@ -473,21 +467,26 @@ def guess(
 
 
 def _judge(
-    terms: list[int], order: int, degree: int, windows: int, holdout: int
+    terms: list[int], order: int, degree: int, top: int, holdout: int, eliminations: list[Elimination | None]
 ) -> tuple[PRecurrence | None, str]:
     """The first kernel vector of the (order, degree) system that is a
     recurrence annihilating the held-out tail, with the verdict of the
-    furthest check any vector reached. The kernel is lifted from one
-    prime's elimination; the next prime only when the first is unlucky."""
+    furthest check any vector reached. ``eliminations`` holds the (order,
+    top) system's elimination modulo each rung of the ladder reached so
+    far; the pair's is its prefix (see _prefix). The kernel is lifted from
+    the first prime's; the next prime's, appended when first needed, only
+    when the first is unlucky."""
+    windows = len(terms) - holdout - order
     unknowns = (order + 1) * (degree + 1)
     rows = None
-    for p in PRIME_LADDER:
-        residues = [t % p for t in terms]
-        elimination = _kernel_mod(_window_rows(residues, order, degree, windows), unknowns, p)
+    for rung, p in enumerate(PRIME_LADDER):
+        if rung == len(eliminations):
+            eliminations.append(_eliminate(terms, order, top, windows, p))
+        elimination = _prefix(eliminations[rung], unknowns)
         if elimination is None:
             return None, "rank-full mod p"
         if rows is None:
-            rows = list(_window_rows(terms, order, degree, windows))
+            rows = list(_rows(terms, order, degree, windows))
         basis = []
         for free in elimination[2]:
             vec = _lift(rows, elimination, free, p)
@@ -502,10 +501,7 @@ def _judge(
         return None, "undecided"
     verdict = "zero leading polynomial"
     for vec in basis:
-        polys = tuple(
-            poly_trim(vec[i * (degree + 1) : (i + 1) * (degree + 1)])
-            for i in range(order + 1)
-        )
+        polys = tuple(poly_trim(vec[i :: order + 1]) for i in range(order + 1))
         if not polys[-1]:
             continue
         candidate = PRecurrence(polys)

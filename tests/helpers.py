@@ -5,8 +5,10 @@ code they check, so agreement means something. Two exceptions reuse library
 pieces around a different core: ``direct_weighted_sequence`` is the
 library's own layer tables weighted the plain way, as the reference for the
 engine's faster weighting, and ``exact_guess`` is the library's search with
-its modular kernel replaced by fraction-free elimination over the integers.
-The ``fraction_*`` series functions are the Bessel determinant over ordinary
+its modular kernel replaced by fraction-free elimination over the integers,
+on shift-major rows of its own (``window_rows``) where the library's are
+power-major, so agreement also shows that the column layout does not change
+answers. The ``fraction_*`` series functions are the Bessel determinant over ordinary
 ``Fraction`` coefficients, the reference for the library's integer
 exponential coefficients. ``richardson_extrapolate`` is the general Lagrange
 evaluation at 1/x = 0 with exact ``Fraction`` weights, the reference for the
@@ -19,7 +21,7 @@ from math import comb, factorial, gcd
 from typing import Any, Sequence
 
 from seqlab.partitions import syt_count
-from seqlab.recurrences import PRecurrence, _window_rows, poly_trim, recurrence_residual
+from seqlab.recurrences import PRecurrence, poly_trim, recurrence_residual
 from seqlab.tableaux import Checkpoint
 
 
@@ -268,6 +270,16 @@ def exact_nullspace_basis(rows: list[list[int]], ncols: int) -> list[list[int]]:
     return basis
 
 
+def window_rows(terms, order: int, degree: int, windows: int) -> list[list[int]]:
+    """Rows of the (order, degree) system: terms[n+i] * n**j for window n,
+    shift i and power j, shift-major (shift 0's n^0 .. n^degree columns,
+    then shift 1's, and so on)."""
+    return [
+        [terms[n + i] * n**j for i in range(order + 1) for j in range(degree + 1)]
+        for n in range(windows)
+    ]
+
+
 def exact_guess(terms, max_order: int, max_degree: int, holdout: int | None = None):
     """``guess`` over an explicit box, with every nullspace taken by
     ``exact_nullspace_basis``: the same pair order, the same skipped
@@ -287,7 +299,7 @@ def exact_guess(terms, max_order: int, max_degree: int, holdout: int | None = No
         windows = train_len - order
         if windows < unknowns:
             continue
-        rows = list(_window_rows(terms, order, degree, windows))
+        rows = window_rows(terms, order, degree, windows)
         for vec in exact_nullspace_basis(rows, unknowns):
             polys = tuple(
                 poly_trim(vec[i * (degree + 1) : (i + 1) * (degree + 1)]) for i in range(order + 1)

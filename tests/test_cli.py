@@ -310,6 +310,28 @@ class TestGuessAndExtend:
                      "--cache-dir", cache]) == 1
         assert "no recurrence found" in capsys.readouterr().out
 
+    def test_failure_line_names_the_top_orders_reach(self, capsys, cache):
+        # hard-r2's guess: 45 (5,2) terms, 11 held out, determine order 5
+        # only to degree 3 and order 20 at no degree
+        assert main(["seq", "--d", "5", "--r", "2", "--nmax", "44", "--cache-dir", cache]) == 0
+        capsys.readouterr()
+        box = ["guess", "--d", "5", "--r", "2", "--nmax", "44", "--cache-dir", cache]
+        assert main(box + ["--max-order", "5", "--max-degree", "10"]) == 1
+        assert capsys.readouterr().out == (
+            "no recurrence found within order 5, degree 10 (order 5 searched only to degree 3, "
+            "the most the terms determine; not a disproof; try more terms or wider bounds)\n"
+        )
+        assert main(box + ["--max-order", "20", "--max-degree", "2"]) == 1
+        assert capsys.readouterr().out == (
+            "no recurrence found within order 20, degree 2 (order 20 not searched, the terms "
+            "determine none of its degrees; not a disproof; try more terms or wider bounds)\n"
+        )
+        # a box the terms determine throughout keeps the plain line
+        assert main(box + ["--max-order", "2", "--max-degree", "3"]) == 1
+        assert capsys.readouterr().out == (
+            "no recurrence found within order 2, degree 3 (not a disproof; try more terms or wider bounds)\n"
+        )
+
     def test_stats_reports_each_pair(self, capsys, cache):
         args = ["guess", "--d", "3", "--r", "1", "--nmax", "29", "--cache-dir", cache]
         assert main(args + ["--stats"]) == 0

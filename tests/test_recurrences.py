@@ -11,6 +11,7 @@ from seqlab import recurrences
 from seqlab.recurrences import (
     DEFAULT_MAX_ORDER,
     P,
+    PRIME_LADDER,
     SCREEN_PRIME,
     InsufficientTermsError,
     NonIntegerStepError,
@@ -27,12 +28,12 @@ from seqlab.recurrences import (
     verify,
     _kernel_mod,
     _nonzero_mod_screen,
-    _rank_full_below,
-    _window_rows,
+    _prefix,
+    _rows,
 )
 from seqlab.tableaux import avoiders_sequence
 
-from helpers import catalan, exact_guess, exact_nullspace_basis
+from helpers import catalan, exact_guess, exact_nullspace_basis, window_rows
 
 CATALAN_REC = PRecurrence(((-2, -4), (2, 1)))  # (n+2) a(n+1) = (4n+2) a(n)
 
@@ -215,6 +216,11 @@ PLANTED = [
 ]
 
 
+# the rank-deficient pairs, modulo either of the first two primes, that
+# test_screen_agrees_with_each_pairs_own_elimination meets in each source
+DEFICIENT_PAIRS = {"3,1": 62, "4,1": 34, "4,2": 16, "random": 0, "1,1+P": 59}
+
+
 class TestModularScreen:
     @pytest.mark.parametrize("d, r, n_max", [(3, 1, 40), (4, 1, 40), (4, 2, 80)])
     def test_never_rejects_an_exact_solution(self, d, r, n_max):
@@ -228,12 +234,8 @@ class TestModularScreen:
                 windows = train_len - order
                 if windows < unknowns:
                     continue
-                screened = not _kernel_mod(
-                    _window_rows(residues, order, degree, windows), unknowns, P
-                )
-                exact = exact_nullspace_basis(
-                    list(_window_rows(terms, order, degree, windows)), unknowns
-                )
+                screened = not _kernel_mod(_rows(residues, order, degree, windows), unknowns, P)
+                exact = exact_nullspace_basis(window_rows(terms, order, degree, windows), unknowns)
                 if exact:
                     assert not screened, (order, degree)
                     kept += 1
@@ -249,16 +251,23 @@ class TestModularScreen:
             "random": lambda rng=random.Random(23): [rng.randrange(10**30) for _ in range(60)],
             "1,1+P": lambda: [1, 1 + P] * 20,
         }[source]()
+        # every pair of order <= 5 and degree <= 10 is judged from a prefix
+        # of its order's one elimination: the prefix is the pair's own
+        # elimination, or both are rank-full (None)
         train_len = len(terms) - max(4, len(terms) // 4)
-        residues = [t % P for t in terms]
-        for order in range(1, 6):
-            windows = train_len - order
-            top = min(10, windows // (order + 1) - 1)
-            below = _rank_full_below(terms, order, top, windows)
-            for degree in range(top + 1):
-                rows = _window_rows(residues, order, degree, windows)
-                rank_full = _kernel_mod(rows, (order + 1) * (degree + 1), P) is None
-                assert (degree < below) == rank_full, (order, degree)
+        deficient = 0
+        for p in PRIME_LADDER[:2]:
+            residues = [t % p for t in terms]
+            for order in range(1, 6):
+                windows = train_len - order
+                top = min(10, windows // (order + 1) - 1)
+                elimination = _kernel_mod(_rows(residues, order, top, windows), (order + 1) * (top + 1), p)
+                for degree in range(top + 1):
+                    ncols = (order + 1) * (degree + 1)
+                    own = _kernel_mod(_rows(residues, order, degree, windows), ncols, p)
+                    assert _prefix(elimination, ncols) == own, (p, order, degree)
+                    deficient += own is not None
+        assert deficient == DEFICIENT_PAIRS[source]
 
     def test_one_elimination_per_order_on_the_default_box(self, monkeypatch):
         # the (5,2) recurrence extended to 181 terms: every order the default
@@ -274,6 +283,28 @@ class TestModularScreen:
         assert len(widths) == DEFAULT_MAX_ORDER
         # orders 1-4 at degrees 66, 43, 32 and 25
         assert widths == [134, 132, 132, 130]
+        # an accepted pair is judged from a prefix of its order's elimination,
+        # with no elimination of its own: (6,16) in the box (6,16) ...
+        widths.clear()
+        assert guess(terms, 6, 16, holdout=20) == rec
+        assert widths == [34, 51, 68, 85, 102, 119]
+        # ... and discover-r2's (4,7) in the box (4,8)
+        widths.clear()
+        expected = (ROOT / "perfbench" / "data" / "d4_r2.rec").read_text()
+        assert format_recurrence(guess(reference_terms("d4_r2.txt")[:81], 4, 8)) == expected
+        assert widths == [18, 27, 36, 45]
+
+    @given(
+        st.lists(st.lists(st.integers(0, 6), min_size=6, max_size=6), min_size=1, max_size=9),
+        st.sampled_from([2, 3, 7]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_prefix_is_the_elimination_of_the_first_columns(self, rows, p):
+        # small primes make a row whose first columns reduce to zero come
+        # before one that is kept, so the dropped row's multipliers matter
+        elimination = _kernel_mod(rows, 6, p)
+        for ncols in range(1, 7):
+            assert _prefix(elimination, ncols) == _kernel_mod([row[:ncols] for row in rows], ncols, p)
 
     def test_multiples_of_p_leave_the_exact_search_to_decide(self, monkeypatch, caplog):
         catalans = [P * catalan(n) for n in range(20)]
