@@ -2,11 +2,13 @@
 
 Three pieces: the exact conjectured growth parameters for the avoider
 counts, an empirical fit of those parameters from data, and Richardson
-extrapolation of the limiting constant. Terms can have thousands of digits,
-so the fit takes the standard library's ``decimal`` logarithms at a
-precision sized from the terms' magnitude, and the constant is normalized
-exactly in integers, rounded once and extrapolated at a precision sized from
-the ladder; both drop to machine floats only at the very end.
+extrapolation of the limiting constant. Terms can have thousands of digits.
+The fit takes ``math.log`` of each exact term, which accepts an int of any
+size and agrees with the correctly rounded logarithm to within 1 ulp on the
+fit's inputs, and solves its normal equations exactly. The constant is
+normalized exactly in integers, rounded once and extrapolated in ``decimal``
+at a precision sized from the ladder; it drops to machine floats only at the
+very end.
 """
 
 from __future__ import annotations
@@ -43,11 +45,6 @@ def conjectured_params(d: int, r: int) -> GrowthParams:
     return GrowthParams(mu=mu, alpha=alpha)
 
 
-def _precision(bits: int):
-    """Decimal context with the significant digits that cover ``bits`` bits."""
-    return localcontext(Context(prec=math.ceil(bits * math.log10(2))))
-
-
 def _scaled(x: float | int) -> int:
     """``x * 2**1074``, exactly."""
     num, den = x.as_integer_ratio()
@@ -69,15 +66,11 @@ def empirical_growth(terms: Sequence[int]) -> tuple[float, float]:
         raise ValueError("terms must be positive")
     top = len(terms) - 1
     ns = range(max(1, round(top / 2)), top + 1)
-    # |log a| < a.bit_length() bounds the integer part of each log, and 84
-    # spare bits carry the fraction past a float's 53 and the fit's rounding
-    with _precision(max(t.bit_length() for t in terms).bit_length() + 84):
-        logs = [float(Decimal(terms[n]).ln()) for n in ns]
     # normal equations [A^T A | A^T y] of the design rows (n, -log n, 1),
     # solved exactly by Gauss-Jordan (A^T A is positive definite: no pivoting).
     # Every float is a multiple of 2^-1074, so the rows scaled by 2^1074 are
     # exact ints; the sums stay ints and the common scale cancels in the solve.
-    rows = [[_scaled(v) for v in (n, -math.log(n), 1, y)] for n, y in zip(ns, logs)]
+    rows = [[_scaled(v) for v in (n, -math.log(n), 1, math.log(terms[n]))] for n in ns]
     m = [[Fraction(sum(r[i] * r[j] for r in rows)) for j in range(4)] for i in range(3)]
     for i in range(3):
         m[i] = [v / m[i][i] for v in m[i]]
@@ -165,7 +158,7 @@ def estimate_constant(
         )
     bits = 64 + levels * (2 * top // stride).bit_length()
     p, q = params.alpha.numerator, params.alpha.denominator
-    with _precision(bits):
+    with localcontext(Context(prec=math.ceil(bits * math.log10(2)))):
         c, mu_q, mu_power = [], params.mu**q, 1
         for n, t in enumerate(terms[1:], 1):
             mu_power *= mu_q

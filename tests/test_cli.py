@@ -474,6 +474,23 @@ class TestAsym:
         (line,) = [l for l in lines if l.startswith("estimates by level: ")]
         assert line.endswith(", 0.564189584")
 
+    @pytest.mark.parametrize("d, r, nmax, rec, base, decay", [
+        (3, 1, 370, False, "3.999936", "1.4915"),
+        (3, 1, 373, False, "3.999937", "1.4915"),
+        (4, 2, 600, True, "53.999169", "3.9866"),
+        (4, 2, 603, True, "53.999179", "3.9867"),
+    ])
+    def test_benchmark_fit_lines(self, capsys, cache, d, r, nmax, rec, base, decay):
+        # the benchmark's asym commands at its first and last shift
+        args = ["asym", "--d", str(d), "--r", str(r), "--nmax", str(nmax), "--cache-dir", cache]
+        if rec:
+            data = Path(__file__).resolve().parent.parent / "perfbench" / "data"
+            args += ["--rec", str(data / "d4_r2.rec")]
+        assert main(args) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert f"empirical base  ~ {base}" in lines
+        assert f"empirical decay ~ {decay}" in lines
+
     @pytest.mark.parametrize("bad", [["--stride", "0"], ["--levels", "-1"], ["--stride", "-2"]])
     def test_bad_ladder_prints_nothing(self, capsys, cache, bad):
         assert main(["asym", "--d", "3", "--r", "1", "--nmax", "40",

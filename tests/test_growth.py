@@ -182,10 +182,9 @@ class TestEstimateConstant:
                 checked += 1
         assert checked == cells
 
-    def test_precision_sized_from_magnitude(self, monkeypatch):
-        # The fit's logs of 25,000-bit terms need the bit length of that bit
-        # length plus spare bits, not a precision covering every bit of the
-        # term; the constant's ladder takes no logs and is sized from itself.
+    def test_fit_and_ladder_take_no_decimal_logarithm(self, monkeypatch):
+        # The fit takes math.log of 25,000-bit terms directly, and the
+        # constant's ladder takes no logs at all.
         mu = 2**1000
         terms = [3 * mu**n for n in range(26)]
         assert terms[20].bit_length() >= 20_000
@@ -199,7 +198,7 @@ class TestEstimateConstant:
         monkeypatch.setattr(seqlab.growth, "Decimal", RecordingDecimal)
         mu_hat, _ = empirical_growth(terms)
         estimate = estimate_constant(terms, GrowthParams(mu, Fraction(0)))
-        assert precs and max(precs) < 39  # 39 digits would carry 128 bits
+        assert precs == []
         assert abs(mu_hat / mu - 1) < 1e-9
         assert all(abs(v - 3) < 1e-12 for v in estimate.estimates)
 

@@ -389,10 +389,10 @@ class TestAvoidersSequence:
         assert avoiders_sequence(d, 2, n) == terms[: n + 1]
 
 
-class TestFieldWidthBoundaries:
-    # rows on both sides of a power of two, where a checkpoint file's key
-    # field just fits the longest row, r*n cells, or needs one more bit:
-    # the engine itself has no field, and every count stays exact
+class TestRowsAcrossPowersOfTwo:
+    # the longest row, r*n cells, on both sides of a power of two: the
+    # engine's shapes are tuples with no width limit, so every count stays
+    # exact
     @pytest.mark.parametrize("r", [1, 63, 64, 127, 128])
     def test_two_letters(self, r):
         # no increasing run of 3 from two letters: every word counts
