@@ -138,7 +138,10 @@ def _parse_search_results(body, query: list[int], raw: str = "") -> list[OeisMat
     matches: list[OeisMatch] = []
     for entry in results:
         try:
-            number = int(entry["number"])
+            number = entry["number"]
+            # a JSON integer only: no truncated float or text, and no bool
+            if type(number) is not int or not 0 <= number <= 999999:
+                raise ValueError(f"bad sequence number {number!r}")
             name = str(entry.get("name", ""))
             data = [text_to_int(tok) for tok in str(entry.get("data", "")).split(",") if tok]
         except (KeyError, TypeError, ValueError) as exc:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import compress
 from math import gcd, isqrt, lcm
 from operator import index, mul, sub
 from time import perf_counter
@@ -193,33 +194,35 @@ LIFT_REACH = PRIME_LADDER[-1]
 # row modulo it fails that row over Q, so most premature reconstructions are
 # rejected before the costly scaling to integers and the exact check.
 SCREEN_PRIME = 2**64 - 59
-Elimination = tuple[list[tuple[int, list[int]]], list[tuple[int, list[int], int]], list[int]]
+# a pivot of _kernel_mod: (lead, tail, row index, multipliers, inverse); an
+# elimination is its pivots in insertion order and its free columns
+Pivot = tuple[int, list[int], int, list[int], int]
+Elimination = tuple[list[Pivot], list[int]]
 
 
 def _kernel_mod(rows: Iterable[list[int]], ncols: int, p: int) -> Elimination | None:
     """Gaussian elimination of ``rows`` modulo ``p``: None as soon as the
-    rows reach rank ``ncols``, reading no further; otherwise the pivots in
-    insertion order, as (column, unit-pivot row) and as (row index,
-    multipliers, inverse), which _lift solves against, and the free columns.
+    rows reach rank ``ncols``, reading no further; otherwise (pivots, free):
+    the free columns, and one record per pivot in insertion order, (lead,
+    tail, row index, multipliers, inverse), which _lift solves against.
 
-    Each row is reduced against an echelon basis of unit-pivot rows, each
-    stored from its pivot column on and zero at the pivots of the rows
+    Each row is reduced against the pivots' unit-pivot rows, each stored as
+    the tail from its lead column on and zero at the leads of the pivots
     inserted before it, so one pass in insertion order clears every pivot.
     The multipliers of that pass and the inverse that scales the row to a
     unit pivot are what make the pivot rows one LU factorization. A row's
     lead is its first nonzero free column, and the pass zeroes it at every
-    pivot column, so each basis row is zero before its lead: the rank of
+    pivot column, so each pivot's row is zero before its lead: the rank of
     the first c columns is the number of pivots among them. The pass leaves
     a row's entries unreduced and reduces only what it reads: each
     multiplier and the lead test.
     """
-    basis: list[tuple[int, list[int]]] = []
-    pivots: list[tuple[int, list[int], int]] = []
+    pivots: list[Pivot] = []
     free = list(range(ncols))
     for index, row in enumerate(rows):
         row = [x % p for x in row]
         multipliers = []
-        for col, tail in basis:
+        for col, tail, _, _, _ in pivots:
             f = row[col] % p
             multipliers.append(f)
             if f:
@@ -229,11 +232,10 @@ def _kernel_mod(rows: Iterable[list[int]], ncols: int, p: int) -> Elimination | 
             continue
         free.remove(lead)
         inverse = pow(row[lead], -1, p)
-        basis.append((lead, [x * inverse % p for x in row[lead:]]))
-        pivots.append((index, multipliers, inverse))
-        if len(basis) == ncols:
+        pivots.append((lead, [x * inverse % p for x in row[lead:]], index, multipliers, inverse))
+        if len(pivots) == ncols:
             return None
-    return basis, pivots, free
+    return pivots, free
 
 
 def _lift(rows: list[list[int]], elimination: Elimination, free: int, p: int) -> list[int] | None:
@@ -246,18 +248,18 @@ def _lift(rows: list[list[int]], elimination: Elimination, free: int, p: int) ->
     that fails the first pivot row modulo SCREEN_PRIME is rejected there;
     the rest are scaled to integers and checked exactly on every pivot
     row."""
-    basis, pivots, _ = elimination
-    pivot_rows = [rows[index] for index, _, _ in pivots]
+    pivots, _ = elimination
+    pivot_rows = [rows[index] for _, _, index, _, _ in pivots]
     residual = [-row[free] for row in pivot_rows]
     solution = [0] * len(rows[0])
     solution[free] = 1
     modulus = steps = 1
     while modulus <= LIFT_REACH:
         y: list[int] = []  # forward substitution through the multipliers
-        for (_, multipliers, inverse), r in zip(pivots, residual):
+        for (_, _, _, multipliers, inverse), r in zip(pivots, residual):
             y.append((r - sum(map(mul, multipliers, y))) * inverse % p)
         x = [0] * len(solution)  # back substitution through the unit-pivot rows
-        for (col, tail), v in zip(reversed(basis), reversed(y)):
+        for (col, tail, _, _, _), v in zip(reversed(pivots), reversed(y)):
             x[col] = (v - sum(map(mul, tail, x[col:]))) % p
         for k, row in enumerate(pivot_rows):
             residual[k], remainder = divmod(residual[k] - sum(map(mul, row, x)), p)
@@ -354,26 +356,21 @@ def _eliminate(terms: list[int], order: int, degree: int, windows: int, p: int) 
 
 def _prefix(elimination: Elimination | None, ncols: int) -> Elimination | None:
     """What _kernel_mod gives on the first ``ncols`` columns of the rows
-    ``elimination`` eliminated: None when they have full rank. Each basis
-    row is zero before its lead, so a row led at or past ``ncols`` never
+    ``elimination`` eliminated: None when they have full rank. Each pivot's
+    row is zero before its lead, so a pivot led at or past ``ncols`` never
     touches the prefix: dropping it and its multipliers, and cutting the
-    other rows' tails at ``ncols``, leaves the prefix's elimination."""
+    other pivots' tails at ``ncols``, leaves the prefix's elimination."""
     if elimination is None:
         return None
-    basis, pivots, free = elimination
+    pivots, free = elimination
     free = [j for j in free if j < ncols]
     if not free:
         return None
-    kept = [lead < ncols for lead, _ in basis]
-    return (
-        [(lead, tail[: ncols - lead]) for (lead, tail), keep in zip(basis, kept) if keep],
-        [
-            (index, [f for f, keep in zip(multipliers, kept) if keep], inverse)
-            for (index, multipliers, inverse), keep in zip(pivots, kept)
-            if keep
-        ],
-        free,
-    )
+    kept = [lead < ncols for lead, *_ in pivots]
+    return [
+        (lead, tail[: ncols - lead], index, list(compress(multipliers, kept)), inverse)
+        for lead, tail, index, multipliers, inverse in compress(pivots, kept)
+    ], free
 
 
 def guess(
@@ -446,7 +443,7 @@ def guess(
                 "guess screen: order %d rank-full below degree %d "
                 "(top degree %d, %d windows, %.4f s)",
                 order,
-                top + 1 if first is None else min(first[2]) // (order + 1),
+                top + 1 if first is None else min(first[1]) // (order + 1),
                 top,
                 windows,
                 perf_counter() - started,
@@ -471,11 +468,14 @@ def _judge(
 ) -> tuple[PRecurrence | None, str]:
     """The first kernel vector of the (order, degree) system that is a
     recurrence annihilating the held-out tail, with the verdict of the
-    furthest check any vector reached. ``eliminations`` holds the (order,
-    top) system's elimination modulo each rung of the ladder reached so
-    far; the pair's is its prefix (see _prefix). The kernel is lifted from
-    the first prime's; the next prime's, appended when first needed, only
-    when the first is unlucky."""
+    furthest check any vector reached. The pair's system has one row per
+    window of the terms: the training windows, then the held-out windows as
+    the rows after them, which an accepted vector must annihilate too.
+    ``eliminations`` holds the (order, top) system's elimination of the
+    training rows modulo each rung of the ladder reached so far; the pair's
+    is its prefix (see _prefix). The kernel is lifted from the first
+    prime's; the next prime's, appended when first needed, only when the
+    first is unlucky."""
     windows = len(terms) - holdout - order
     unknowns = (order + 1) * (degree + 1)
     rows = None
@@ -486,13 +486,13 @@ def _judge(
         if elimination is None:
             return None, "rank-full mod p"
         if rows is None:
-            rows = list(_rows(terms, order, degree, windows))
+            rows = list(_rows(terms, order, degree, len(terms) - order))
         basis = []
-        for free in elimination[2]:
+        for free in elimination[1]:
             vec = _lift(rows, elimination, free, p)
             if vec is None:
                 return None, "undecided"
-            if any(sum(map(mul, row, vec)) for row in rows):
+            if any(sum(map(mul, row, vec)) for row in rows[:windows]):
                 break  # p is unlucky: the rank over Q exceeds the rank mod p
             basis.append(vec)
         else:
@@ -501,23 +501,12 @@ def _judge(
         return None, "undecided"
     verdict = "zero leading polynomial"
     for vec in basis:
-        polys = tuple(poly_trim(vec[i :: order + 1]) for i in range(order + 1))
-        if not polys[-1]:
+        if not any(vec[order :: order + 1]):
             continue
-        candidate = PRecurrence(polys)
-        if _annihilates_tail(candidate, terms, holdout):
-            return candidate, "accepted"
+        if not any(sum(map(mul, row, vec)) for row in rows[windows:]):
+            return PRecurrence(tuple(vec[i :: order + 1] for i in range(order + 1))), "accepted"
         verdict = "held-out rejected"
     return None, verdict
-
-
-def _annihilates_tail(rec: PRecurrence, terms: list[int], holdout: int) -> bool:
-    # every window overlapping the held-out terms, checked unconditionally
-    start = max(rec.offset, len(terms) - holdout - rec.order)
-    for n in range(start, len(terms) - rec.order):
-        if recurrence_residual(rec, terms, n) != 0:
-            return False
-    return True
 
 
 # --- text format -----------------------------------------------------------

@@ -184,6 +184,21 @@ class TestRemoteLookup:
         matches = oeis_lookup([2, 5, 14], mode="remote")
         assert matches == [OeisMatch("A000108", "Catalan numbers", 2)]
 
+    @pytest.mark.parametrize(
+        "number, identifier",
+        [(108, "A000108"), (108.9, None), ("1_08", None), (" 108 ", None), (True, None), (-1, None), (10**7, None)],
+    )
+    def test_sequence_number_is_a_json_integer(self, fixture_server, number, identifier):
+        # anything else is refused with the payload, not truncated to an identifier
+        body = json.dumps({"results": [{"number": number, "name": "Catalan numbers", "data": "1,1,2,5"}]})
+        fixture_server(body.encode())
+        if identifier is None:
+            with pytest.raises(MalformedResponseError, match="bad sequence number") as excinfo:
+                oeis_lookup([2, 5], mode="remote")
+            assert excinfo.value.payload == body
+        else:
+            assert oeis_lookup([2, 5], mode="remote") == [OeisMatch(identifier, "Catalan numbers", 2)]
+
     def test_env_var_endpoint(self, fixture_server):
         handler = fixture_server(json.dumps({"results": []}).encode())
         assert oeis_lookup([1, 2, 3], mode="remote") == []

@@ -180,6 +180,16 @@ class TestGuess:
         terms = [1, 1, 1, 1, 1, 1, 1, 1, 1, 5, 7, 11]
         assert guess(terms, max_order=1, max_degree=0, holdout=4) is None
 
+    @pytest.mark.parametrize("holdout", [1, 4])
+    def test_held_out_windows_reach_the_last_term(self, caplog, holdout):
+        # only the last window reads the bumped last term: a held-out check
+        # that starts one window late or stops one window early accepts
+        terms = [catalan(n) for n in range(12)]
+        assert guess(terms, 1, 1, holdout=holdout) == CATALAN_REC
+        caplog.set_level(logging.INFO, logger="seqlab.recurrences")
+        assert guess(terms[:-1] + [terms[-1] + 1], 1, 1, holdout=holdout) is None
+        assert verdicts(caplog)[-1] == "held-out rejected"
+
     @given(st.integers(1, 60))
     @settings(max_examples=25, deadline=None)
     def test_scale_invariance(self, factor):
