@@ -130,10 +130,12 @@ def _search_remote(query: list[int]) -> list[OeisMatch]:
 
 def _parse_search_results(body, query: list[int], raw: str = "") -> list[OeisMatch]:
     if isinstance(body, dict):
-        results = body.get("results") or []
-    elif isinstance(body, list):
-        results = body
+        results = body.get("results")
+        if results is None:  # a search with no matches
+            results = []
     else:
+        results = body
+    if not isinstance(results, list):
         raise MalformedResponseError("unexpected response shape", payload=raw)
     matches: list[OeisMatch] = []
     for entry in results:
@@ -142,7 +144,9 @@ def _parse_search_results(body, query: list[int], raw: str = "") -> list[OeisMat
             # a JSON integer only: no truncated float or text, and no bool
             if type(number) is not int or not 0 <= number <= 999999:
                 raise ValueError(f"bad sequence number {number!r}")
-            name = str(entry.get("name", ""))
+            name = entry.get("name", "")
+            if type(name) is not str:
+                raise ValueError(f"bad sequence name {name!r}")
             data = [text_to_int(tok) for tok in str(entry.get("data", "")).split(",") if tok]
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedResponseError(

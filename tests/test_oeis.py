@@ -199,6 +199,32 @@ class TestRemoteLookup:
         else:
             assert oeis_lookup([2, 5], mode="remote") == [OeisMatch(identifier, "Catalan numbers", 2)]
 
+    @pytest.mark.parametrize(
+        "entry, name",
+        [({"name": "Catalan numbers"}, "Catalan numbers"), ({}, ""), ({"name": None}, None), ({"name": ["x"]}, None), ({"name": {"x": 1}}, None)],
+    )
+    def test_sequence_name_is_a_json_string(self, fixture_server, entry, name):
+        # or missing; anything else is refused, not its Python repr ('None')
+        body = json.dumps({"results": [{"number": 108, "data": "1,1,2,5", **entry}]})
+        fixture_server(body.encode())
+        if name is None:
+            with pytest.raises(MalformedResponseError, match="bad sequence name") as excinfo:
+                oeis_lookup([2, 5], mode="remote")
+            assert excinfo.value.payload == body
+        else:
+            assert oeis_lookup([2, 5], mode="remote") == [OeisMatch("A000108", name, 2)]
+
+    @pytest.mark.parametrize("results", [5, True, "A000108", {"number": 108}])
+    def test_results_is_a_json_list(self, fixture_server, capsys, results):
+        # a malformed answer, not a TypeError escaping the CLI's handlers
+        body = json.dumps({"results": results})
+        fixture_server(body.encode())
+        with pytest.raises(MalformedResponseError, match="unexpected response shape") as excinfo:
+            oeis_lookup([2, 5], mode="remote")
+        assert excinfo.value.payload == body
+        assert main(["oeis", "--terms", "2,5"]) == 1
+        assert capsys.readouterr().err.startswith("error: unexpected response shape")
+
     def test_env_var_endpoint(self, fixture_server):
         handler = fixture_server(json.dumps({"results": []}).encode())
         assert oeis_lookup([1, 2, 3], mode="remote") == []

@@ -108,9 +108,9 @@ class TestBruteCount:
             terms = [int(line.split()[1]) for line in lines if line.strip() and line[0] != "#"]
             assert oracle_terms == terms[: n_max + 1]
 
-    def test_memo_lives_for_one_call(self):
+    def test_states_live_for_one_call(self):
         names = set(vars(oracle))
-        # with the cycle collector off, only the call itself can free the memo
+        # with the cycle collector off, only the call itself can free its passes
         gc.disable()
         tracemalloc.start()
         try:
@@ -119,9 +119,9 @@ class TestBruteCount:
         finally:
             tracemalloc.stop()
             gc.enable()
-        # the memo (~5 MB) is gone; what stays is the interpreter's bounded
-        # free list of small tuples
-        assert peak > 3_000_000
+        # two passes of states (~2 MB) are held at the peak and gone after;
+        # what stays is the interpreter's bounded free list of small tuples
+        assert peak > 1_000_000
         assert after < peak / 3
         assert set(vars(oracle)) == names
 
