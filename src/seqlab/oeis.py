@@ -17,6 +17,7 @@ import os
 import re
 import time
 from dataclasses import dataclass
+from operator import index
 from pathlib import Path
 from typing import Sequence
 
@@ -170,9 +171,9 @@ def oeis_lookup(
     """Sequences holding ``terms`` as a contiguous run: from the
     'stripped'-format dump at ``dump_path`` in mode 'local' (no names; raises
     FileNotFoundError when the dump is absent), or from the search API in
-    mode 'remote'. A term given as text is read by ``storage.text_to_int``,
-    so ``'1_000'`` or ``' 1000 '`` raise ValueError."""
-    query = [text_to_int(t) if isinstance(t, str) else t for t in terms]
+    mode 'remote'. A term that is no int, such as a float or a str, raises
+    TypeError."""
+    query = list(map(index, terms))
     if not query:
         raise ValueError("empty query")
     if mode == "local":

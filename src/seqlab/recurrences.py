@@ -19,14 +19,14 @@ vector passes, the kernel over Q is at least as large as the one mod p,
 which is never larger, so the lift is the reduced-echelon basis over Q
 itself. A vector that fails a window shows the prime is unlucky, and the
 next prime of a ladder decides instead. A pair is left undecided only when
-the ladder runs out or a lift outgrows its top rung.
+every prime of the ladder is unlucky for it.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, count
 from math import gcd, isqrt, lcm
 from operator import index, mul, sub
 from time import perf_counter
@@ -185,11 +185,8 @@ def extend(rec: PRecurrence, seed: Sequence[int], n_max: int) -> list[int]:
 # of an integer matrix that is nonzero modulo a prime is nonzero over the
 # integers, so the rank over Q is at least the rank mod p: full column rank
 # modulo any of them proves the nullspace is empty. One prime, lifted,
-# decides; the next only when the first is unlucky. A lift gives up once its
-# modulus passes the top rung.
+# decides; the next only when the first is unlucky.
 PRIME_LADDER = tuple(2**e - 1 for e in (61, 127, 521, 1279, 2203, 4423, 9689))
-P = PRIME_LADDER[0]
-LIFT_REACH = PRIME_LADDER[-1]
 # A word-size prime off the ladder. A reconstructed vector that fails a pivot
 # row modulo it fails that row over Q, so most premature reconstructions are
 # rejected before the costly scaling to integers and the exact check.
@@ -238,23 +235,24 @@ def _kernel_mod(rows: Iterable[list[int]], ncols: int, p: int) -> Elimination | 
     return pivots, free
 
 
-def _lift(rows: list[list[int]], elimination: Elimination, free: int, p: int) -> list[int] | None:
+def _lift(rows: list[list[int]], elimination: Elimination, free: int, p: int) -> list[int]:
     """The primitive integer vector, zero at every free column but ``free``,
-    that annihilates the pivot rows (nonsingular on the pivot columns, so
-    it is unique); None once the modulus passes LIFT_REACH without it. Each
-    step of Dixon lifting solves the pivot rows modulo p through the
-    elimination, in O(rank^2), and divides the residual exactly by p;
-    rational reconstruction is tried after 1, 2, 4, ... steps. An attempt
-    that fails the first pivot row modulo SCREEN_PRIME is rejected there;
-    the rest are scaled to integers and checked exactly on every pivot
-    row."""
+    that annihilates the pivot rows. They are nonsingular modulo p on the
+    pivot columns, hence over Q, so the vector is unique and its
+    denominators are prime to p. Each step of Dixon lifting solves the pivot
+    rows modulo p through the elimination, in O(rank^2), and divides the
+    residual exactly by p; rational reconstruction is tried after 1, 2, 4,
+    ... steps and recovers the vector once the modulus passes twice its
+    height squared. An attempt that fails the first pivot row modulo
+    SCREEN_PRIME is rejected there, the rest exactly on every pivot row. An
+    unlucky p lifts to that height before the next rung decides."""
     pivots, _ = elimination
     pivot_rows = [rows[index] for _, _, index, _, _ in pivots]
     residual = [-row[free] for row in pivot_rows]
     solution = [0] * len(rows[0])
     solution[free] = 1
-    modulus = steps = 1
-    while modulus <= LIFT_REACH:
+    modulus = 1
+    for steps in count(1):
         y: list[int] = []  # forward substitution through the multipliers
         for (_, _, _, multipliers, inverse), r in zip(pivots, residual):
             y.append((r - sum(map(mul, multipliers, y))) * inverse % p)
@@ -267,15 +265,13 @@ def _lift(rows: list[list[int]], elimination: Elimination, free: int, p: int) ->
                 raise ArithmeticError("a lifting step left a residual p does not divide")
         solution = [s + modulus * v for s, v in zip(solution, x)]
         modulus *= p
-        if steps & (steps - 1) == 0 or modulus > LIFT_REACH:
+        if steps & (steps - 1) == 0:
             fractions = _reconstruct(solution, modulus)
             screened_out = pivot_rows and _nonzero_mod_screen(pivot_rows[0], fractions)
             if not screened_out:
                 vec = _primitive(fractions)
                 if not any(sum(map(mul, row, vec)) for row in pivot_rows):
                     return vec
-        steps += 1
-    return None
 
 
 def _reconstruct(vec: list[int], modulus: int) -> list[tuple[int, int]]:
@@ -395,8 +391,8 @@ def guess(
     lifted from the prefix gives the basis that exact elimination over Q
     would (see the module docstring). The order's system is eliminated
     modulo the next prime only when a pair of the order is unlucky at the
-    one before. A pair the ladder leaves unlucky, or whose lift outgrows
-    its top rung, is "undecided" and rejected.
+    one before. A pair that every prime of the ladder leaves unlucky is
+    "undecided" and rejected.
 
     The whole search box is available when ``len(terms)`` is at least
     (max_order+1)*(max_degree+1) + holdout + max_order. ``holdout`` defaults
@@ -490,8 +486,6 @@ def _judge(
         basis = []
         for free in elimination[1]:
             vec = _lift(rows, elimination, free, p)
-            if vec is None:
-                return None, "undecided"
             if any(sum(map(mul, row, vec)) for row in rows[:windows]):
                 break  # p is unlucky: the rank over Q exceeds the rank mod p
             basis.append(vec)

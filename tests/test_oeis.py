@@ -155,12 +155,14 @@ class TestLocalLookup:
             oeis_lookup([1, 2], mode="local", dump_path=tmp_path / "absent")
 
     def test_text_terms_read_as_decimal_only(self, tmp_path):
+        # only ints are terms: text is parsed where it is read (--terms), and
+        # a float is never truncated or sent on as '1.0'
         dump = tmp_path / "stripped"
         dump.write_text("A000001 ,1,1000,\n")
-        assert [m.identifier for m in oeis_lookup(["1", "1000"], mode="local", dump_path=dump)] == ["A000001"]
-        for bad in ("1_000", " 1000 "):
-            with pytest.raises(ValueError, match=repr(bad)):
-                oeis_lookup(["1", bad], mode="local", dump_path=dump)
+        assert [m.identifier for m in oeis_lookup([1, 1000], mode="local", dump_path=dump)] == ["A000001"]
+        for bad in ("1000", "1_000", 1.0, 1.5):
+            with pytest.raises(TypeError):
+                oeis_lookup([1, bad], mode="local", dump_path=dump)
 
     def test_empty_query_rejected(self, dump):
         with pytest.raises(ValueError):

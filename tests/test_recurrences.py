@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from seqlab import recurrences
 from seqlab.recurrences import (
     DEFAULT_MAX_ORDER,
-    P,
     PRIME_LADDER,
     SCREEN_PRIME,
     InsufficientTermsError,
@@ -36,6 +35,8 @@ from seqlab.tableaux import avoiders_sequence
 from helpers import catalan, exact_guess, exact_nullspace_basis, window_rows
 
 CATALAN_REC = PRecurrence(((-2, -4), (2, 1)))  # (n+2) a(n+1) = (4n+2) a(n)
+
+P = PRIME_LADDER[0]
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -381,6 +382,20 @@ class TestModularScreen:
         found = guess(terms, 2, 1)
         assert found == exact_guess(terms, 2, 1)
         assert found == planted
+
+    @pytest.mark.parametrize("digits, degree", [(1400, 0), (1500, 0), (3000, 0), (1500, 1)])
+    def test_lift_has_no_size_cliff(self, digits, degree):
+        # reconstruction needs a modulus past twice the coefficients'
+        # height squared: from 1500 digits on, past the top rung 2^9689 - 1
+        # (2917 digits), so the lift from 2^61 - 1 runs until it is found
+        c = 10**digits + 7
+        if degree:
+            terms = [c**n * factorial(n) for n in range(14)]
+            expected = PRecurrence(((c, c), (-1,)))  # a(n+1) = c (n+1) a(n)
+        else:
+            terms = [c**n for n in range(12)]
+            expected = PRecurrence(((-c,), (1,)))  # a(n+1) = c a(n)
+        assert guess(terms, 1, degree, holdout=4) == expected
 
 
 class TestLiftScreen:
