@@ -20,6 +20,14 @@ which is never larger, so the lift is the reduced-echelon basis over Q
 itself. A vector that fails a window shows the prime is unlucky, and the
 next prime of a ladder decides instead. A pair is left undecided only when
 every prime of the ladder is unlucky for it.
+
+The elimination holds each row as one int, a field of fixed width per
+column (Kronecker substitution), so clearing a pivot with multiplier f is
+one big-int multiply-add, row += (p - f) * tail, rather than a loop over
+the row's entries. Adding p - f rather than subtracting f keeps every field
+nonnegative, and each field is wide enough for the 2 bits(p) + bits(ncols)
+bits its entry can reach (see _kernel_mod), so no borrow or carry ever
+crosses from one column into the next.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ import logging
 from dataclasses import dataclass
 from itertools import compress, count
 from math import gcd, isqrt, lcm
-from operator import index, mul, sub
+from operator import index, mul
 from time import perf_counter
 from typing import Iterable, Iterator, Sequence
 
@@ -210,28 +218,50 @@ def _kernel_mod(rows: Iterable[list[int]], ncols: int, p: int) -> Elimination | 
     unit pivot are what make the pivot rows one LU factorization. A row's
     lead is its first nonzero free column, and the pass zeroes it at every
     pivot column, so each pivot's row is zero before its lead: the rank of
-    the first c columns is the number of pivots among them. The pass leaves
-    a row's entries unreduced and reduces only what it reads: each
-    multiplier and the lead test.
+    the first c columns is the number of pivots among them.
+
+    A row is held packed, as one int with a field of W bytes per column,
+    little-endian, W = ceil((2 bits(p) + bits(ncols) + 1) / 8), and each
+    pivot's unit tail likewise, shifted to its lead. Clearing a pivot with
+    multiplier f is one multiply-add, row += (p - f) * tail, congruent to
+    row - f * tail: no field goes negative, so no borrow crosses a field.
+    Each field starts below p and each update adds less than p^2. A row
+    meets at most ncols - 1 pivots, since the ncols-th ends the call, so a
+    field stays below ncols * p^2 < 2^(8W): no carry crosses a field
+    either, and each field is its entry, unreduced. The pass reduces only
+    what it reads: each multiplier, the lead test and the new tail.
     """
+    width = (2 * p.bit_length() + ncols.bit_length() + 1 + 7) // 8
+    mask = (1 << 8 * width) - 1
+
+    def pack(entries: Iterable[int]) -> int:
+        return int.from_bytes(b"".join(x.to_bytes(width, "little") for x in entries), "little")
+
+    def entry(data: bytes, j: int) -> int:
+        return int.from_bytes(data[j * width : (j + 1) * width], "little")
+
     pivots: list[Pivot] = []
+    tails: list[tuple[int, int]] = []  # per pivot: its lead's shift, its packed tail
     free = list(range(ncols))
     for index, row in enumerate(rows):
-        row = [x % p for x in row]
+        acc = pack(x % p for x in row)
         multipliers = []
-        for col, tail, _, _, _ in pivots:
-            f = row[col] % p
+        for shift, tail in tails:
+            f = (acc >> shift & mask) % p
             multipliers.append(f)
             if f:
-                row[col:] = map(sub, row[col:], map(f.__mul__, tail))
-        lead = next((j for j in free if row[j] % p), None)
+                acc += (p - f) * tail
+        data = acc.to_bytes(width * ncols, "little")
+        lead = next((j for j in free if entry(data, j) % p), None)
         if lead is None:
             continue
         free.remove(lead)
-        inverse = pow(row[lead], -1, p)
-        pivots.append((lead, [x * inverse % p for x in row[lead:]], index, multipliers, inverse))
+        inverse = pow(entry(data, lead), -1, p)
+        tail = [entry(data, j) * inverse % p for j in range(lead, ncols)]
+        pivots.append((lead, tail, index, multipliers, inverse))
         if len(pivots) == ncols:
             return None
+        tails.append((8 * width * lead, pack(tail) << 8 * width * lead))
     return pivots, free
 
 

@@ -29,7 +29,6 @@ import re
 import tempfile
 import time
 from dataclasses import dataclass, field
-from decimal import Decimal
 from operator import index
 from pathlib import Path
 from typing import Callable, Iterable, TextIO, TypeVar
@@ -88,26 +87,42 @@ _DECIMAL_RE = re.compile(r"[+-]?[0-9]+")
 
 
 def int_to_text(value: int) -> str:
-    """``value`` as exact decimal text at any size: ``str`` below Python's
-    limit on int-to-decimal conversion (4300 digits by default), and past
-    it ``decimal``, which has no such limit, so no interpreter-wide
-    setting is touched."""
+    """``value`` as exact decimal text at any size. Past Python's limit on
+    int-to-decimal conversion (4300 digits by default) the value is split
+    by ``divmod`` with a power of ten into halves converted the same way,
+    the low half zero-padded, so no interpreter-wide setting is touched."""
     try:
         return str(value)
     except ValueError:
-        return str(Decimal(value))
+        pass
+    if value < 0:
+        return "-" + int_to_text(-value)
+    k = value.bit_length() * 3 // 20  # about half the digits: log10(2) > 3/10
+    high, low = divmod(value, 10**k)
+    return int_to_text(high) + int_to_text(low).zfill(k)
 
 
 def text_to_int(text: str) -> int:
     """The int written as ``text``, ASCII decimal digits with an optional
     sign, at any length (the inverse of ``int_to_text``); anything else
-    raises ValueError."""
+    raises ValueError. Past Python's limit on decimal-to-int conversion the
+    digits are split in halves converted the same way and joined as
+    ``high * 10**len(low) + low``."""
     if _DECIMAL_RE.fullmatch(text) is None:
         raise ValueError(f"not a decimal integer: {text[:80]!r}")
+    return _digits_to_int(text)
+
+
+def _digits_to_int(text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        return int(Decimal(text))
+        pass
+    if text[0] in "+-":
+        value = _digits_to_int(text[1:])
+        return -value if text[0] == "-" else value
+    k = len(text) // 2
+    return _digits_to_int(text[:-k]) * 10**k + _digits_to_int(text[-k:])
 
 
 def format_bfile(terms: Iterable[int], comments: Iterable[str] = ()) -> str:

@@ -1,23 +1,26 @@
 """Independent brute-force oracles for the test suite.
 
 Everything here is deliberately dumb: different algorithms from the library
-code they check, so agreement means something. Two exceptions reuse library
+code they check, so agreement means something. Three exceptions reuse library
 pieces around a different core: ``direct_weighted_sequence`` is the
 library's own layer tables weighted the plain way, as the reference for the
-engine's faster weighting, and ``exact_guess`` is the library's search with
+engine's faster weighting; ``exact_guess`` is the library's search with
 its modular kernel replaced by fraction-free elimination over the integers,
 on shift-major rows of its own (``window_rows``) where the library's are
 power-major, so agreement also shows that the column layout does not change
-answers. The ``fraction_*`` series functions are the Bessel determinant over ordinary
-``Fraction`` coefficients, the reference for the library's integer
-exponential coefficients. ``richardson_extrapolate`` is the general Lagrange
-evaluation at 1/x = 0 with exact ``Fraction`` weights, the reference for the
-library's Neville ladder.
+answers; and ``list_kernel_mod`` is the library's modular elimination on
+rows held as lists, cleared one entry at a time, the reference for its
+packed rows. The ``fraction_*`` series functions are the Bessel determinant
+over ordinary ``Fraction`` coefficients, the reference for the library's
+integer exponential coefficients. ``richardson_extrapolate`` is the general
+Lagrange evaluation at 1/x = 0 with exact ``Fraction`` weights, the
+reference for the library's Neville ladder.
 """
 
 from bisect import bisect_left
 from fractions import Fraction
 from math import comb, factorial, gcd
+from operator import sub
 from typing import Any, Sequence
 
 from seqlab.partitions import syt_count
@@ -268,6 +271,31 @@ def exact_nullspace_basis(rows: list[list[int]], ncols: int) -> list[list[int]]:
         content = gcd(*vec)
         basis.append([v // content for v in vec])
     return basis
+
+
+def list_kernel_mod(rows, ncols: int, p: int):
+    """``recurrences._kernel_mod`` with each row held as a list and cleared
+    entry by entry, the reference for its packed rows: the same records,
+    (pivots, free), or None once the rows reach rank ``ncols``."""
+    pivots = []
+    free = list(range(ncols))
+    for index, row in enumerate(rows):
+        row = [x % p for x in row]
+        multipliers = []
+        for col, tail, _, _, _ in pivots:
+            f = row[col] % p
+            multipliers.append(f)
+            if f:
+                row[col:] = map(sub, row[col:], map(f.__mul__, tail))
+        lead = next((j for j in free if row[j] % p), None)
+        if lead is None:
+            continue
+        free.remove(lead)
+        inverse = pow(row[lead], -1, p)
+        pivots.append((lead, [x * inverse % p for x in row[lead:]], index, multipliers, inverse))
+        if len(pivots) == ncols:
+            return None
+    return pivots, free
 
 
 def window_rows(terms, order: int, degree: int, windows: int) -> list[list[int]]:

@@ -32,7 +32,7 @@ from seqlab.recurrences import (
 )
 from seqlab.tableaux import avoiders_sequence
 
-from helpers import catalan, exact_guess, exact_nullspace_basis, window_rows
+from helpers import catalan, exact_guess, exact_nullspace_basis, list_kernel_mod, window_rows
 
 CATALAN_REC = PRecurrence(((-2, -4), (2, 1)))  # (n+2) a(n+1) = (4n+2) a(n)
 
@@ -396,6 +396,60 @@ class TestModularScreen:
             terms = [c**n for n in range(12)]
             expected = PRecurrence(((-c,), (1,)))  # a(n+1) = c a(n)
         assert guess(terms, 1, degree, holdout=4) == expected
+
+
+def rank_limited_rows(rng, nrows: int, ncols: int, rank: int) -> list[list[int]]:
+    """``nrows`` rows of signed 40-digit entries, combinations of ``rank``
+    random rows, about one in five of them zero."""
+    basis = [[rng.randrange(-(10**40), 10**40) for _ in range(ncols)] for _ in range(rank)]
+    rows = []
+    for _ in range(nrows):
+        weights = [rng.randrange(-5, 6) for _ in basis] if rng.random() > 0.2 else [0] * rank
+        rows.append([sum(w * b[j] for w, b in zip(weights, basis)) for j in range(ncols)])
+    return rows
+
+
+def widest_fields_rows(ncols: int, p: int) -> list[list[int]]:
+    """Rows with ncols - 1 pivots whose unit tails are p - 1 past their lead,
+    each met with multiplier 1, then the last of them again, which reduces
+    to zero through all of them: every update adds (p - 1)^2, the most one
+    can, and the last column of the last row takes ncols - 1 of them."""
+    units = [[0] * k + [1] + [p - 1] * (ncols - 1 - k) for k in range(ncols - 1)]
+    rows = [[sum(column) % p for column in zip(*units[: k + 1])] for k in range(ncols - 1)]
+    return rows + [rows[-1][:]]
+
+
+class TestPackedKernel:
+    # the packed rows against list_kernel_mod, the same elimination on rows
+    # held as lists: equal records, or None for both
+    @pytest.mark.parametrize("p", PRIME_LADDER[:3], ids=lambda p: f"2^{p.bit_length()}-1")
+    @pytest.mark.parametrize("ncols", [1, 2, 7, 16])
+    def test_random_rows(self, p, ncols):
+        rng = random.Random(ncols * 1000 + p.bit_length())
+        for rank in sorted({0, 1, ncols // 2, ncols - 1, ncols}):
+            for nrows in (0, rank, rank + 3, 2 * ncols + 1):
+                rows = rank_limited_rows(rng, nrows, ncols, rank)
+                assert _kernel_mod(rows, ncols, p) == list_kernel_mod(rows, ncols, p), (rank, nrows)
+
+    @pytest.mark.parametrize("p", PRIME_LADDER[:3], ids=lambda p: f"2^{p.bit_length()}-1")
+    @pytest.mark.parametrize("ncols", [1, 2, 7, 16])
+    def test_zero_rows(self, p, ncols):
+        rows = [[0] * ncols, [p] * ncols, [0] * ncols]
+        assert _kernel_mod(rows, ncols, p) == list_kernel_mod(rows, ncols, p) == ([], list(range(ncols)))
+
+    @pytest.mark.parametrize("p", PRIME_LADDER[:3], ids=lambda p: f"2^{p.bit_length()}-1")
+    @pytest.mark.parametrize("ncols", [2, 7, 16, 40])
+    def test_fields_at_their_bound(self, p, ncols):
+        rows = widest_fields_rows(ncols, p)
+        elimination = _kernel_mod(rows, ncols, p)
+        assert elimination == list_kernel_mod(rows, ncols, p)
+        pivots, free = elimination
+        assert free == [ncols - 1]
+        assert [multipliers for *_, multipliers, _ in pivots] == [[1] * k for k in range(ncols - 1)]
+        assert all(tail[1:] == [p - 1] * (ncols - 1 - lead) for lead, tail, *_ in pivots)
+        # one more unit at the last column gives full rank
+        rows[-1][-1] += 1
+        assert _kernel_mod(rows, ncols, p) is list_kernel_mod(rows, ncols, p) is None
 
 
 class TestLiftScreen:

@@ -1,6 +1,8 @@
 import calendar
 import logging
+import random
 import re
+import sys
 import time
 from decimal import Decimal
 from pathlib import Path
@@ -140,6 +142,26 @@ class TestBfileFormat:
         text = int_to_text(value)
         assert text == str(Decimal(value))
         assert text_to_int(text) == value
+
+    @pytest.mark.parametrize("digits", [4299, 4300, 4301, 8600, 13000])
+    @pytest.mark.parametrize("limit", [4300, 640], ids=["default-limit", "least-limit"])
+    def test_round_trips_in_chunks(self, digits, limit):
+        # the halves under the interpreter's limit, whatever it is set to;
+        # zero runs across a split point test the low half's padding
+        rng = random.Random(digits)
+        values = [rng.randrange(10 ** (digits - 1), 10**digits), 10 ** (digits - 1) + 7, 10**digits - 1]
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            for value in values + [-v for v in values]:
+                text = int_to_text(value)
+                assert text == str(Decimal(value))
+                assert text_to_int(text) == value
+                sign = "-" if value < 0 else "+"
+                assert text_to_int(sign + "0" * digits + text.lstrip("-")) == value
+            assert text_to_int("0" * digits) == text_to_int("-" + "0" * digits) == 0
+        finally:
+            sys.set_int_max_str_digits(old)
 
 
 class TestCache:
