@@ -35,7 +35,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from itertools import compress, count
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 from operator import index, mul
 from time import perf_counter
 from typing import Iterable, Iterator, Sequence
@@ -195,10 +195,6 @@ def extend(rec: PRecurrence, seed: Sequence[int], n_max: int) -> list[int]:
 # modulo any of them proves the nullspace is empty. One prime, lifted,
 # decides; the next only when the first is unlucky.
 PRIME_LADDER = tuple(2**e - 1 for e in (61, 127, 521, 1279, 2203, 4423, 9689))
-# A word-size prime off the ladder. A reconstructed vector that fails a pivot
-# row modulo it fails that row over Q, so most premature reconstructions are
-# rejected before the costly scaling to integers and the exact check.
-SCREEN_PRIME = 2**64 - 59
 # a pivot of _kernel_mod: (lead, tail, row index, multipliers, inverse); an
 # elimination is its pivots in insertion order and its free columns
 Pivot = tuple[int, list[int], int, list[int], int]
@@ -271,11 +267,13 @@ def _lift(rows: list[list[int]], elimination: Elimination, free: int, p: int) ->
     pivot columns, hence over Q, so the vector is unique and its
     denominators are prime to p. Each step of Dixon lifting solves the pivot
     rows modulo p through the elimination, in O(rank^2), and divides the
-    residual exactly by p; rational reconstruction is tried after 1, 2, 4,
-    ... steps and recovers the vector once the modulus passes twice its
-    height squared. An attempt that fails the first pivot row modulo
-    SCREEN_PRIME is rejected there, the rest exactly on every pivot row. An
-    unlucky p lifts to that height before the next rung decides."""
+    residual exactly by p; rational reconstruction under one common
+    denominator is tried after 1, 2, 4, ... steps and recovers the vector
+    once the modulus passes twice the square of its largest entry or
+    denominator. An early attempt mostly ends at the reconstruction bound
+    (see _reconstruct), and one that gives a vector is checked exactly on
+    every pivot row. An unlucky p lifts to that height before the next rung
+    decides."""
     pivots, _ = elimination
     pivot_rows = [rows[index] for _, _, index, _, _ in pivots]
     residual = [-row[free] for row in pivot_rows]
@@ -296,51 +294,44 @@ def _lift(rows: list[list[int]], elimination: Elimination, free: int, p: int) ->
         solution = [s + modulus * v for s, v in zip(solution, x)]
         modulus *= p
         if steps & (steps - 1) == 0:
-            fractions = _reconstruct(solution, modulus)
-            screened_out = pivot_rows and _nonzero_mod_screen(pivot_rows[0], fractions)
-            if not screened_out:
-                vec = _primitive(fractions)
-                if not any(sum(map(mul, row, vec)) for row in pivot_rows):
-                    return vec
+            vec = _reconstruct(solution, modulus)
+            if vec is not None and not any(sum(map(mul, row, vec)) for row in pivot_rows):
+                return vec
 
 
-def _reconstruct(vec: list[int], modulus: int) -> list[tuple[int, int]]:
-    """Each entry of ``vec`` modulo ``modulus`` as a fraction (a, b) with
-    |a|, |b| at most isqrt(modulus // 2), by the half-extended Euclidean
-    algorithm."""
+def _reconstruct(vec: list[int], modulus: int) -> list[int] | None:
+    """An integer vector w and one denominator den > 0 with w congruent to
+    den * ``vec`` modulo ``modulus``, found entry by entry with den at most
+    B = isqrt(modulus // 2), and returned as w over its content; None once
+    den passes B.
+
+    Each entry times the den so far is reduced by the half-extended
+    Euclidean algorithm to r / t with |r| <= B and t > 0, and den and the
+    entries before it are scaled by t; an entry that is already integral
+    costs one or two steps. When ``vec`` is w / D modulo ``modulus`` for an
+    integer vector w and a D prime to it, and the modulus exceeds
+    2 max(max |w_i|, D)^2, each reduction finds its entry's own fraction,
+    den stays a divisor of D, and the result is w over its content. An
+    earlier attempt mostly ends at the bound; any other vector it gives is
+    for the caller's exact check to turn away."""
     bound = isqrt(modulus // 2)
-    fractions = []
+    den = 1
+    out: list[int] = []
     for x in vec:
-        r0, r1, t0, t1 = modulus, x, 0, 1
+        r0, r1, t0, t1 = modulus, x * den % modulus, 0, 1
         while r1 > bound:
             q = r0 // r1
             r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
-        fractions.append((r1, t1))
-    return fractions
-
-
-def _nonzero_mod_screen(row: list[int], fractions: list[tuple[int, int]]) -> bool:
-    """True when sum row_i * a_i / b_i is nonzero modulo SCREEN_PRIME, which
-    proves it nonzero over Q. False when it vanishes there, and also when a
-    denominator does, so the exact check decides."""
-    q = SCREEN_PRIME
-    numerator, denominator = 0, 1
-    for x, (a, b) in zip(row, fractions):
-        b %= q
-        if not b:
-            return False
-        numerator = (numerator * b + denominator * (x % q) * (a % q)) % q
-        denominator = denominator * b % q
-    return numerator != 0
-
-
-def _primitive(fractions: list[tuple[int, int]]) -> list[int]:
-    """The primitive integer vector whose entries' ratios are those of the
-    fractions (a, b)."""
-    scale = lcm(*(t for _, t in fractions))
-    ints = [r * (scale // t) for r, t in fractions]
-    content = gcd(*ints)
-    return [v // content for v in ints]
+        if t1 < 0:
+            r1, t1 = -r1, -t1
+        if t1 != 1:
+            den *= t1
+            if den > bound:
+                return None
+            out = [w * t1 for w in out]
+        out.append(r1)
+    content = gcd(*out)
+    return [w // content for w in out]
 
 
 # --- guessing --------------------------------------------------------------

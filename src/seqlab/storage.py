@@ -26,6 +26,7 @@ from __future__ import annotations
 import logging
 import os
 import re
+import sys
 import tempfile
 import time
 from dataclasses import dataclass, field
@@ -87,14 +88,16 @@ _DECIMAL_RE = re.compile(r"[+-]?[0-9]+")
 
 
 def int_to_text(value: int) -> str:
-    """``value`` as exact decimal text at any size. Past Python's limit on
-    int-to-decimal conversion (4300 digits by default) the value is split
-    by ``divmod`` with a power of ten into halves converted the same way,
-    the low half zero-padded, so no interpreter-wide setting is touched."""
-    try:
+    """``value`` as exact decimal text at any size. Under Python's limit on
+    int-to-decimal conversion (4300 digits by default; none when it is 0 or
+    the interpreter has none) ``str`` converts it: at most 3 bits per limit
+    digit is fewer digits than the limit. A longer value is split by
+    ``divmod`` with a power of ten into halves converted the same way, the
+    low half zero-padded, so no interpreter-wide setting is touched and no
+    conversion is tried that the limit would refuse."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if not limit or value.bit_length() <= 3 * limit:
         return str(value)
-    except ValueError:
-        pass
     if value < 0:
         return "-" + int_to_text(-value)
     k = value.bit_length() * 3 // 20  # about half the digits: log10(2) > 3/10

@@ -170,9 +170,10 @@ def _weighted_total(table: LayerTable, size: int, cap: int) -> int:
     ((size - m + 1) ... L)``, with ``L = l_0 + l_1 = size - m + 2k - 3`` and
     ``P = (l_0 - l_1) * prod_{j>=2} (l_0 - l_j) (l_1 - l_j)``. Along a run L
     stays, l_1 grows by one and l_0 falls by one, so each factor of P is a
-    range and ``C(L, l_1)`` takes one ratio step per shape. A run costs one
-    ``syt_count`` of its slice and one division of its sum; every division
-    is checked to be exact. A run that reaches past row 0, or a slice of
+    range and ``C(L, l_1)`` takes one ratio step per shape, ``C(L, l + 1) =
+    C(L, l) * (L - l) / (l + 1)``, always exact. A run costs one
+    ``syt_count`` of its slice and one division of its sum, which is
+    checked to be exact. A run that reaches past row 0, or a slice of
     more than k - 2 rows, raises ``ValueError``, and so does a slice that is
     no partition, through ``syt_count``.
     """
@@ -194,9 +195,7 @@ def _weighted_total(table: LayerTable, size: int, cap: int) -> int:
         run_sum = 0
         for count, weight in zip(run, weights):
             run_sum += count * weight * binomial
-            binomial, remainder = divmod(binomial * (l_sum - l_1), l_1 + 1)
-            if remainder:
-                raise ArithmeticError(f"inexact binomial step to l_1 = {l_1 + 1}")
+            binomial = binomial * (l_sum - l_1) // (l_1 + 1)  # exact: C(L, l_1 + 1)
             l_1 += 1
         numerator = comb(size, cells) * syt_count(part) * run_sum
         denominator = prod(range(size - cells + 1, l_sum + 1))

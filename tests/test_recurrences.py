@@ -1,7 +1,6 @@
 import logging
 import random
-from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, isqrt
 from pathlib import Path
 
 import pytest
@@ -11,7 +10,6 @@ from seqlab import recurrences
 from seqlab.recurrences import (
     DEFAULT_MAX_ORDER,
     PRIME_LADDER,
-    SCREEN_PRIME,
     InsufficientTermsError,
     NonIntegerStepError,
     PRecurrence,
@@ -26,7 +24,7 @@ from seqlab.recurrences import (
     recurrence_residual,
     verify,
     _kernel_mod,
-    _nonzero_mod_screen,
+    _reconstruct,
     _prefix,
     _rows,
 )
@@ -452,38 +450,44 @@ class TestPackedKernel:
         assert _kernel_mod(rows, ncols, p) is list_kernel_mod(rows, ncols, p) is None
 
 
-class TestLiftScreen:
-    def test_only_the_accepted_reconstruction_is_scaled(self, monkeypatch):
+class TestReconstruct:
+    def test_only_the_accepted_reconstruction_is_checked(self, monkeypatch):
         # discover-r2's pair: the lift reconstructs after 1, 2, 4, ... steps,
-        # and the screen turns away every attempt before the one that holds
-        calls = []
-        original = recurrences._primitive
-        monkeypatch.setattr(recurrences, "_primitive", lambda *a: calls.append(a) or original(*a))
+        # and every attempt before the one that holds ends at the bound
+        results = []
+        original = recurrences._reconstruct
+
+        def spy(*args):
+            results.append(original(*args))
+            return results[-1]
+
+        monkeypatch.setattr(recurrences, "_reconstruct", spy)
         rec = guess(avoiders_sequence(4, 2, 80), 4, 7)
         assert (rec.order, rec.degree) == (4, 7)
-        assert len(calls) == 1
+        assert len(results) > 1
+        assert [vec is not None for vec in results] == [False] * (len(results) - 1) + [True]
 
     @given(
-        st.lists(st.integers(-(10**30), 10**30), min_size=1, max_size=6),
-        st.lists(st.tuples(st.integers(-(10**30), 10**30), st.integers(1, 10**30)), min_size=6, max_size=6),
+        st.lists(st.integers(-(10**30), 10**30), min_size=1, max_size=8).filter(any),
+        st.integers(1, 10**30).filter(lambda d: d % P),
     )
     @settings(max_examples=200, deadline=None)
-    def test_screen_rejects_only_nonzero_sums(self, row, fractions):
-        exact = sum(Fraction(x * a, b) for x, (a, b) in zip(row, fractions))
-        if _nonzero_mod_screen(row, fractions):
-            assert exact != 0
-        # a zero sum passes: the last fraction is chosen to cancel the rest
-        head = sum((Fraction(x * a, b) for x, (a, b) in zip(row[:-1], fractions)), Fraction(0))
-        cancel = -head / row[-1] if row[-1] else None
-        if cancel is not None and cancel.denominator % SCREEN_PRIME:
-            zeroed = fractions[: len(row) - 1] + [(cancel.numerator, cancel.denominator)]
-            assert not _nonzero_mod_screen(row, zeroed)
+    def test_recovers_the_vector_past_twice_its_height_squared(self, w, d):
+        height = max(*map(abs, w), d)
+        modulus = P
+        while modulus <= 2 * height**2:
+            modulus *= P
+        vec = [x * pow(d, -1, modulus) % modulus for x in w]
+        content = gcd(*w)
+        assert _reconstruct(vec, modulus) == [x // content for x in w]
 
-    def test_vanishing_denominator_falls_through(self):
-        # 1/q - 1/q + 1 is nonzero, but only the exact check may say so
-        row = [1, 1, 1]
-        assert not _nonzero_mod_screen(row, [(1, SCREEN_PRIME), (-1, SCREEN_PRIME), (1, 1)])
-        assert _nonzero_mod_screen(row, [(1, 2), (-1, 2), (1, 1)])
+    def test_an_early_attempt_ends_at_the_bound(self):
+        # 1/b1 and 1/b2 each fit the bound 2^30 - 1, their common denominator
+        # b1 * b2 does not
+        b1, b2 = 2**30 - 1, 2**30 - 3
+        assert isqrt(P // 2) == b1
+        assert _reconstruct([pow(b1, -1, P), pow(b2, -1, P)], P) is None
+        assert _reconstruct([pow(b1, -1, P), 1], P) == [1, b1]
 
 
 class TestSurveyRecurrence:

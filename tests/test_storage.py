@@ -143,13 +143,15 @@ class TestBfileFormat:
         assert text == str(Decimal(value))
         assert text_to_int(text) == value
 
-    @pytest.mark.parametrize("digits", [4299, 4300, 4301, 8600, 13000])
+    @pytest.mark.parametrize("digits", [4299, 4300, 4301, 4416, 8600, 13000])
     @pytest.mark.parametrize("limit", [4300, 640], ids=["default-limit", "least-limit"])
     def test_round_trips_in_chunks(self, digits, limit):
         # the halves under the interpreter's limit, whatever it is set to;
-        # zero runs across a split point test the low half's padding
+        # zero runs across a split point test the low half's padding, and
+        # values either side of 3 * limit bits each route int_to_text takes
         rng = random.Random(digits)
         values = [rng.randrange(10 ** (digits - 1), 10**digits), 10 ** (digits - 1) + 7, 10**digits - 1]
+        values += [2 ** (3 * limit) + k for k in (-1, 0, 1)]
         old = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(limit)
         try:
