@@ -20,11 +20,11 @@ from .oeis import OeisError, oeis_lookup
 from .oracle import brute_count, total_words
 from .recurrences import (
     DEFAULT_MAX_ORDER,
-    determined_degree,
     extend,
     format_recurrence,
     guess,
     parse_recurrence,
+    search_box,
 )
 from .storage import (
     PROVENANCE_EXTENDED,
@@ -70,6 +70,11 @@ class _StatsFormatter(logging.Formatter):
         return f"stats: {text}" if record.levelno == logging.INFO else text
 
 
+def _check_nmax(nmax: int) -> None:
+    if nmax < 0:
+        raise ValueError(f"need nmax >= 0, got {nmax}")
+
+
 def _cached_or_computed(args, n_max: int, store: bool = False) -> list[int]:
     """Terms 0..n_max at least for (args.d, args.r): the whole cached record
     when it covers them, with no DP work. Otherwise the DP resumes from the
@@ -81,8 +86,7 @@ def _cached_or_computed(args, n_max: int, store: bool = False) -> list[int]:
     n = 44. Logs for --stats the layers computed and where they
     started. Rejects a negative --nmax before reading the cache, so no
     command's verdict on it depends on what is cached."""
-    if args.nmax < 0:
-        raise ValueError(f"need nmax >= 0, got {args.nmax}")
+    _check_nmax(args.nmax)
     record = cache_load(args.d, args.r, args.cache_dir)
     if record is not None and len(record.terms) > n_max:
         log.info("dp layers computed = 0 (cache hit)")
@@ -148,12 +152,15 @@ def cmd_check(args) -> int:
 
 
 def cmd_guess(args) -> int:
+    # the box is checked before any DP: terms 0..nmax are nmax + 1 terms
+    _check_nmax(args.nmax)
+    _, tops = search_box(args.nmax + 1, args.max_order, args.max_degree, args.holdout)
     terms = _cached_or_computed(args, args.nmax)[: args.nmax + 1]
     rec = guess(terms, args.max_order, args.max_degree, args.holdout)
     if rec is None:
-        max_degree = determined_degree(len(terms), args.holdout) if args.max_degree is None else args.max_degree
+        max_degree = tops[1] if args.max_degree is None else args.max_degree
         # the terms may determine the top order's systems only to a lower degree
-        top = determined_degree(len(terms), args.holdout, args.max_order)
+        top = tops[args.max_order]
         reach = "" if top >= max_degree else f"order {args.max_order} searched only to degree {top}, the most the terms determine; "
         if top < 0:
             reach = f"order {args.max_order} not searched, the terms determine none of its degrees; "

@@ -6,7 +6,9 @@ annihilates a held-out tail it never saw. There is no floating point
 anywhere in this module, and exact integer arithmetic is the only judge, so
 an accepted recurrence is a certificate for the supplied terms, not a fit.
 
-Each order's largest system is eliminated once modulo a prime: one prime,
+One function, search_box, decides the search box: the holdout and each
+order's top degree. Each order's top system is eliminated once modulo each
+rung of a prime ladder it reaches, and _judge builds every rung: one prime,
 lifted; the next prime only when the first is unlucky. With its columns
 grouped by power of n, that system holds each smaller degree's system as a
 prefix of its columns, and the elimination of a prefix is a prefix of the
@@ -341,18 +343,36 @@ def _reconstruct(vec: list[int], modulus: int) -> list[int] | None:
 DEFAULT_MAX_ORDER = 4
 
 
-def _default_holdout(n_terms: int) -> int:
-    return max(4, n_terms // 4)
-
-
-def determined_degree(n_terms: int, holdout: int | None = None, order: int = 1) -> int:
-    """Largest degree whose (order, degree) training system from ``n_terms``
-    terms is still determined (at least as many windows as unknowns); -1
-    when no degree is. guess searches each order up to it. ``holdout``
-    defaults as in guess."""
+def search_box(
+    n_terms: int, max_order: int, max_degree: int | None = None, holdout: int | None = None
+) -> tuple[int, dict[int, int]]:
+    """The holdout and the top degree of each order that guess searches on
+    ``n_terms`` terms: (holdout, tops), with tops[order] for each order up
+    to ``max_order``. An order's top degree is ``max_degree`` or the
+    largest degree whose training system is still determined (at least as
+    many windows as unknowns), whichever is less; -1 when no degree is.
+    ``holdout`` defaults to a quarter of the terms, at least 4, and
+    ``max_degree`` to order 1's determined degree. Raises ValueError on a
+    bound below its least value and InsufficientTermsError when the terms
+    determine not even order 1's degree 0."""
+    if max_order < 1 or (max_degree is not None and max_degree < 0):
+        raise ValueError("need max_order >= 1 and max_degree >= 0")
     if holdout is None:
-        holdout = _default_holdout(n_terms)
-    return max(-1, (n_terms - holdout - order) // (order + 1) - 1)
+        holdout = max(4, n_terms // 4)
+    if holdout < 1:
+        raise ValueError("holdout must be positive")
+    if n_terms < holdout + 3:
+        raise InsufficientTermsError(
+            f"need at least {holdout + 3} terms (order 1, degree 0, "
+            f"holdout {holdout}); got {n_terms}"
+        )
+
+    def determined(order: int) -> int:
+        return max(-1, (n_terms - holdout - order) // (order + 1) - 1)
+
+    if max_degree is None:
+        max_degree = determined(1)
+    return holdout, {order: min(max_degree, determined(order)) for order in range(1, max_order + 1)}
 
 
 def _rows(values: Sequence[int], order: int, degree: int, windows: int) -> Iterator[list[int]]:
@@ -363,12 +383,6 @@ def _rows(values: Sequence[int], order: int, degree: int, windows: int) -> Itera
     for n in range(windows):
         window = values[n : n + order + 1]
         yield [x * n**j for j in range(degree + 1) for x in window]
-
-
-def _eliminate(terms: list[int], order: int, degree: int, windows: int, p: int) -> Elimination | None:
-    """The (order, degree) system on ``windows`` windows, eliminated modulo p."""
-    residues = [t % p for t in terms]
-    return _kernel_mod(_rows(residues, order, degree, windows), (order + 1) * (degree + 1), p)
 
 
 def _prefix(elimination: Elimination | None, ncols: int) -> Elimination | None:
@@ -398,22 +412,19 @@ def guess(
 ) -> PRecurrence | None:
     """Search for a recurrence annihilating ``terms``.
 
-    Candidate (order, degree) pairs are tried by increasing system size
-    (order+1)*(degree+1), ties broken toward lower order. For each pair an
-    exact homogeneous system is built from every window avoiding the last
-    ``holdout`` terms; a nullspace vector is accepted only if it also
-    annihilates every window touching the held-out terms. Pairs with fewer
-    training windows than unknowns are skipped -- an underdetermined system
-    always has solutions and proves nothing. When the first pair of an
-    order is reached, that order's largest system in the box is eliminated
-    modulo the first prime, and every pair of the order is judged from a
-    prefix of that elimination (see _judge): a pair of full column rank
-    modulo a prime is rejected with no exact work, and otherwise the kernel
-    lifted from the prefix gives the basis that exact elimination over Q
-    would (see the module docstring). The order's system is eliminated
-    modulo the next prime only when a pair of the order is unlucky at the
-    one before. A pair that every prime of the ladder leaves unlucky is
-    "undecided" and rejected.
+    The box comes from search_box: every order up to ``max_order``, each to
+    its top degree, the most the terms determine or ``max_degree`` if less
+    -- an underdetermined system always has solutions and proves nothing.
+    Its (order, degree) pairs are tried by increasing system size
+    (order+1)*(degree+1), ties broken toward lower order, and each is judged
+    by _judge: an exact homogeneous system is built from every window
+    avoiding the last ``holdout`` terms, and a nullspace vector is accepted
+    only if it also annihilates every window touching the held-out terms.
+    Every pair of an order is judged from a prefix of the order's top
+    system, eliminated once modulo each rung of the prime ladder the order
+    reaches: a pair of full column rank modulo a prime is rejected with no
+    exact work, and otherwise the kernel lifted from the prefix gives the
+    basis that exact elimination over Q would (see the module docstring).
 
     The whole search box is available when ``len(terms)`` is at least
     (max_order+1)*(max_degree+1) + holdout + max_order. ``holdout`` defaults
@@ -421,52 +432,21 @@ def guess(
     degree whose order-1 system that holdout leaves determined. Returns None
     when nothing within the bounds fits (which says nothing about larger
     bounds); a term that is no int, such as a float, raises TypeError.
-    Each order's first-prime elimination is logged at INFO level as a
-    screen, with the least degree it leaves rank-deficient (its top degree
-    plus one when none), its top degree, windows and seconds, and each tried
-    pair with its unknowns, seconds and verdict: "rank-full mod p",
-    "undecided", "zero leading polynomial", "held-out rejected" or
-    "accepted".
+    Each tried pair is logged at INFO level with its unknowns, seconds
+    (those of the eliminations it triggered included) and verdict:
+    "rank-full mod p", "undecided", "zero leading polynomial", "held-out
+    rejected" or "accepted".
     """
     terms = list(map(index, terms))
-    if max_order < 1 or (max_degree is not None and max_degree < 0):
-        raise ValueError("need max_order >= 1 and max_degree >= 0")
-    if holdout is None:
-        holdout = _default_holdout(len(terms))
-    if holdout < 1:
-        raise ValueError("holdout must be positive")
-    if len(terms) < holdout + 3:
-        raise InsufficientTermsError(
-            f"need at least {holdout + 3} terms (order 1, degree 0, "
-            f"holdout {holdout}); got {len(terms)}"
-        )
-    if max_degree is None:
-        max_degree = determined_degree(len(terms), holdout)
+    holdout, tops = search_box(len(terms), max_order, max_degree, holdout)
     pairs = sorted(
-        ((order, degree) for order in range(1, max_order + 1) for degree in range(max_degree + 1)),
+        ((order, degree) for order, top in tops.items() for degree in range(top + 1)),
         key=lambda od: ((od[0] + 1) * (od[1] + 1), od[0]),
     )
     eliminations: dict[int, list[Elimination | None]] = {}  # by order, one per rung
     for order, degree in pairs:
-        top = min(max_degree, determined_degree(len(terms), holdout, order))
-        if degree > top:
-            continue
-        windows = len(terms) - holdout - order
-        if order not in eliminations:
-            started = perf_counter()
-            first = _eliminate(terms, order, top, windows, PRIME_LADDER[0])
-            eliminations[order] = [first]
-            log.info(
-                "guess screen: order %d rank-full below degree %d "
-                "(top degree %d, %d windows, %.4f s)",
-                order,
-                top + 1 if first is None else min(first[1]) // (order + 1),
-                top,
-                windows,
-                perf_counter() - started,
-            )
         started = perf_counter()
-        found, verdict = _judge(terms, order, degree, top, holdout, eliminations[order])
+        found, verdict = _judge(terms, order, degree, tops[order], holdout, eliminations.setdefault(order, []))
         log.info(
             "guess order %d degree %d: %d unknowns, %.4f s, %s",
             order,
@@ -488,17 +468,28 @@ def _judge(
     furthest check any vector reached. The pair's system has one row per
     window of the terms: the training windows, then the held-out windows as
     the rows after them, which an accepted vector must annihilate too.
-    ``eliminations`` holds the (order, top) system's elimination of the
-    training rows modulo each rung of the ladder reached so far; the pair's
-    is its prefix (see _prefix). The kernel is lifted from the first
-    prime's; the next prime's, appended when first needed, only when the
-    first is unlucky."""
+    ``eliminations`` holds the order's top system's elimination of the
+    training rows modulo each rung of the ladder built so far, and the
+    pair's is its prefix (see _prefix). A missing rung is built here, from
+    the residues of the terms, when the pair first needs it: rung 0 for the
+    order's first pair, and the next rung only when every rung before is
+    unlucky. Rung 0 is logged at INFO level as the order's screen, with the
+    least degree it leaves rank-deficient (``top`` plus one when none),
+    ``top``, windows and the seconds of that elimination alone."""
     windows = len(terms) - holdout - order
     unknowns = (order + 1) * (degree + 1)
     rows = None
     for rung, p in enumerate(PRIME_LADDER):
         if rung == len(eliminations):
-            eliminations.append(_eliminate(terms, order, top, windows, p))
+            started = perf_counter()
+            residues = [t % p for t in terms]
+            eliminations.append(_kernel_mod(_rows(residues, order, top, windows), (order + 1) * (top + 1), p))
+            if rung == 0:
+                least = top + 1 if eliminations[0] is None else min(eliminations[0][1]) // (order + 1)
+                log.info(
+                    "guess screen: order %d rank-full below degree %d (top degree %d, %d windows, %.4f s)",
+                    order, least, top, windows, perf_counter() - started,
+                )
         elimination = _prefix(eliminations[rung], unknowns)
         if elimination is None:
             return None, "rank-full mod p"

@@ -332,6 +332,25 @@ class TestGuessAndExtend:
             "no recurrence found within order 2, degree 3 (not a disproof; try more terms or wider bounds)\n"
         )
 
+    @pytest.mark.parametrize("box, message", [
+        (["--holdout", "0"], "holdout must be positive"),
+        (["--max-order", "0"], "need max_order >= 1 and max_degree >= 0"),
+        (["--max-degree", "-1"], "need max_order >= 1 and max_degree >= 0"),
+        (["--holdout", "40"], "need at least 43 terms (order 1, degree 0, holdout 40); got 31"),
+    ])
+    def test_bad_box_is_rejected_before_any_dp(self, capsys, cache, monkeypatch, box, message):
+        import seqlab.tableaux
+
+        calls = []
+        original = seqlab.tableaux.advance_layer
+        monkeypatch.setattr(
+            seqlab.tableaux, "advance_layer", lambda *a: calls.append(a) or original(*a)
+        )
+        assert main(["guess", "--d", "5", "--r", "2", "--nmax", "30", "--cache-dir", cache] + box) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert calls == []
+        assert not os.path.isdir(cache) or os.listdir(cache) == []
+
     def test_stats_reports_each_pair(self, capsys, cache):
         args = ["guess", "--d", "3", "--r", "1", "--nmax", "29", "--cache-dir", cache]
         assert main(args + ["--stats"]) == 0

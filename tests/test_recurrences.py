@@ -22,6 +22,7 @@ from seqlab.recurrences import (
     poly_eval,
     poly_trim,
     recurrence_residual,
+    search_box,
     verify,
     _kernel_mod,
     _reconstruct,
@@ -209,6 +210,42 @@ class TestGuess:
             guess([1] * 20, holdout=0)
 
 
+class TestSearchBox:
+    def test_each_top_is_the_most_the_terms_determine_in_the_box(self):
+        for n in range(7, 201):
+            for holdout in (None, 1, 4, 20):
+                h = max(4, n // 4) if holdout is None else holdout
+                if n < h + 3:
+                    continue
+                # the default degree: order 1's largest determined degree
+                default = max(d for d in range(n) if n - h - 1 >= 2 * (d + 1))
+                for max_order in range(1, 15):
+                    for max_degree in (None, 0, 3, 30):
+                        resolved, tops = search_box(n, max_order, max_degree, holdout)
+                        assert resolved == h
+                        assert list(tops) == list(range(1, max_order + 1))
+                        box = default if max_degree is None else max_degree
+                        for o, top in tops.items():
+                            windows = n - h - o
+                            # unknowns grow with the degree, so the top's
+                            # windows cover every degree below it
+                            assert top < 0 or windows >= (o + 1) * (top + 1), (n, holdout, o)
+                            assert windows < (o + 1) * (top + 2) or top + 1 > box, (n, holdout, o)
+                            assert (top == -1) == (windows < o + 1), (n, holdout, o)
+
+    @pytest.mark.parametrize("args, error, message", [
+        ((20, 0), ValueError, "need max_order >= 1 and max_degree >= 0"),
+        ((20, 1, -1), ValueError, "need max_order >= 1 and max_degree >= 0"),
+        ((20, 1, None, 0), ValueError, "holdout must be positive"),
+        ((6, 1), InsufficientTermsError, "need at least 7 terms (order 1, degree 0, holdout 4); got 6"),
+        ((22, 1, None, 20), InsufficientTermsError, "need at least 23 terms (order 1, degree 0, holdout 20); got 22"),
+    ])
+    def test_bad_arguments(self, args, error, message):
+        with pytest.raises(error) as raised:
+            search_box(*args)
+        assert str(raised.value) == message
+
+
 def verdicts(caplog):
     # the per-pair lines only, not the per-order screen lines
     messages = (r.getMessage() for r in caplog.records)
@@ -321,6 +358,19 @@ class TestModularScreen:
         primes = [P * q for q in PRIMES]
         assert guess(primes, 2, 2, holdout=4) is None
         assert guess(primes, 2, 2, holdout=4) == exact_guess(primes, 2, 2, holdout=4)
+        # P is unlucky for every pair: each order's three pairs build its top
+        # system's two rungs once, rung 0 logged as the order's one screen
+        eliminated = []
+        original = recurrences._kernel_mod
+        monkeypatch.setattr(
+            recurrences, "_kernel_mod", lambda rows, ncols, p: eliminated.append((ncols, p)) or original(rows, ncols, p)
+        )
+        caplog.set_level(logging.INFO, logger="seqlab.recurrences")
+        assert guess(primes, 2, 2, holdout=4) is None
+        assert sorted(eliminated) == [(6, P), (6, PRIME_LADDER[1]), (9, P), (9, PRIME_LADDER[1])]
+        screens = [r.getMessage().split()[3] for r in caplog.records if r.getMessage().startswith("guess screen: ")]
+        assert screens == ["1", "2"]
+        caplog.clear()
         # every system is zero modulo P: that prime alone proves no rank
         monkeypatch.setattr(recurrences, "PRIME_LADDER", (P,))
         caplog.set_level(logging.INFO, logger="seqlab.recurrences")
