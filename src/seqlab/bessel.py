@@ -141,7 +141,7 @@ def gessel_check(k: int, n_max: int) -> GesselCheck:
     if k < 1 or n_max < 0:
         raise ValueError("need k >= 1 and n_max >= 0")
     det = bessel_determinant(k, 2 * n_max)
-    layer = Checkpoint()
+    layer = Checkpoint(k + 1, 1)
     failures = []
     for n in range(n_max + 1):
         det_side = factorial(n) ** 2 * det[2 * n]

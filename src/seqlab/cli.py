@@ -93,7 +93,7 @@ def _cached_or_computed(args, n_max: int, store: bool = False) -> list[int]:
         return list(record.terms)
     layer = None if record is None else layer_load(record, args.cache_dir)
     if layer is None:
-        layer = Checkpoint()
+        layer = Checkpoint(args.d, args.r)
         log.info("dp layers computed = %d", n_max)
     else:
         log.info("dp layers computed = %d (resumed from layer %d)", n_max - layer.n, layer.n)
@@ -160,7 +160,7 @@ def cmd_guess(args) -> int:
     if rec is None:
         max_degree = tops[1] if args.max_degree is None else args.max_degree
         # the terms may determine the top order's systems only to a lower degree
-        top = tops[args.max_order]
+        top = tops.get(args.max_order, -1)
         reach = "" if top >= max_degree else f"order {args.max_order} searched only to degree {top}, the most the terms determine; "
         if top < 0:
             reach = f"order {args.max_order} not searched, the terms determine none of its degrees; "

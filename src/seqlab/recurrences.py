@@ -348,9 +348,9 @@ def search_box(
 ) -> tuple[int, dict[int, int]]:
     """The holdout and the top degree of each order that guess searches on
     ``n_terms`` terms: (holdout, tops), with tops[order] for each order up
-    to ``max_order``. An order's top degree is ``max_degree`` or the
+    to ``max_order`` that the terms determine: ``max_degree`` or the
     largest degree whose training system is still determined (at least as
-    many windows as unknowns), whichever is less; -1 when no degree is.
+    many windows as unknowns), whichever is less.
     ``holdout`` defaults to a quarter of the terms, at least 4, and
     ``max_degree`` to order 1's determined degree. Raises ValueError on a
     bound below its least value and InsufficientTermsError when the terms
@@ -368,11 +368,12 @@ def search_box(
         )
 
     def determined(order: int) -> int:
-        return max(-1, (n_terms - holdout - order) // (order + 1) - 1)
+        return (n_terms - holdout - order) // (order + 1) - 1
 
     if max_degree is None:
         max_degree = determined(1)
-    return holdout, {order: min(max_degree, determined(order)) for order in range(1, max_order + 1)}
+    orders = range(1, min(max_order, (n_terms - holdout - 1) // 2) + 1)
+    return holdout, {order: min(max_degree, determined(order)) for order in orders}
 
 
 def _rows(values: Sequence[int], order: int, degree: int, windows: int) -> Iterator[list[int]]:
@@ -412,8 +413,8 @@ def guess(
 ) -> PRecurrence | None:
     """Search for a recurrence annihilating ``terms``.
 
-    The box comes from search_box: every order up to ``max_order``, each to
-    its top degree, the most the terms determine or ``max_degree`` if less
+    The box comes from search_box: each determined order up to ``max_order``
+    to its top degree, the most the terms determine or ``max_degree`` if less
     -- an underdetermined system always has solutions and proves nothing.
     Its (order, degree) pairs are tried by increasing system size
     (order+1)*(degree+1), ties broken toward lower order, and each is judged

@@ -246,7 +246,8 @@ def cache_store(
 ) -> SequenceRecord:
     """Store a record under its (d, r) key, then ``layer`` as the checkpoint
     beside the record on disk (see ``_layer_store``), so a checkpoint is
-    never ahead of its terms; returns that record.
+    never ahead of its terms; returns that record. A checkpoint of another
+    key raises ValueError before anything is written.
 
     Terms are append-only facts: storing fewer terms than already cached is
     rejected with a keep-longest notice (the longer record wins), and a
@@ -254,6 +255,8 @@ def cache_store(
     side. Each write is a temp file plus atomic rename; the temp file is
     removed whatever interrupts the write.
     """
+    if layer is not None:
+        layer.of(record.d, record.r)
     directory = resolve_cache_dir(cache_dir)
     directory.mkdir(parents=True, exist_ok=True)
     path = cache_path(directory, record.d, record.r)
@@ -356,21 +359,21 @@ def _parse_layer(lines: Iterable[str], record: SequenceRecord) -> Checkpoint:
             raise ValueError(f"line {lineno}: a count is not positive in {line[:80]!r}")
         if table.setdefault(part, run) is not run:
             raise ValueError(f"line {lineno}: its slice appears twice")
-    layer = Checkpoint(n, table)
-    if layer.count(d, r) != record.terms[n]:
+    layer = Checkpoint(d, r, n, table)
+    if layer.count() != record.terms[n]:
         raise ValueError(f"layer {n} does not weigh to the cached a({n})")
     return layer
 
 
 def _layer_store(record: SequenceRecord, layer: Checkpoint, directory: Path) -> None:
-    """Store ``layer`` as the checkpoint beside ``record``, the record on
-    disk. The checkpoint on disk stays when it is at the same or a higher n
-    that ``record`` still covers (keep-highest, as the b-file keeps the
-    longest record); one the record does not cover, or that has no readable
-    header, is replaced. The lines are the table's ``items()`` in ascending
-    slice order, so the bytes depend on the table alone, not on the order
-    the engine built it in."""
-    d, r = record.d, record.r
+    """Store ``layer`` under its own key, ``record``'s, beside ``record``,
+    the record on disk. The checkpoint on disk stays when it is at the same
+    or a higher n that ``record`` still covers (keep-highest, as the b-file
+    keeps the longest record); one the record does not cover, or that has
+    no readable header, is replaced. The lines are the table's ``items()``
+    in ascending slice order, so the bytes depend on the table alone, not
+    on the order the engine built it in."""
+    d, r = layer.d, layer.r
     path = layer_path(directory, d, r)
     try:
         with open(path) as handle:

@@ -14,8 +14,8 @@ standard-filling count and summing gives the avoider count, with the whole
 dynamic program capped at d-1 rows from the start -- shapes only grow, so
 taller shapes can be pruned the moment they appear. The standard-filling
 count is the row-length formula split at row 1 (see ``_weighted_total``). A
-count's pass starts from a checkpoint, layer 0 unless it resumes, and
-``Checkpoint.advance`` is the one way it moves on.
+count's pass starts from a checkpoint, a key (d, r) checked when it is made,
+a layer and its table, and ``Checkpoint.advance`` is the one way it moves on.
 """
 
 from __future__ import annotations
@@ -47,32 +47,43 @@ class LayerTable(dict):
 
 @dataclass
 class Checkpoint:
-    """Layer ``n``'s table: where a pass over the layers resumes. A new
-    checkpoint is layer 0, and ``advance`` is the one way a pass moves it
-    on."""
+    """Layer ``n``'s table for the key (d, r), checked when it is made:
+    where a pass over the layers resumes. A new checkpoint is layer 0, and
+    ``advance`` is the one way a pass moves it on."""
 
+    d: int
+    r: int
     n: int = 0
     table: LayerTable = field(default_factory=lambda: LayerTable({(): [1]}))  # the empty filling
 
-    def count(self, d: int, r: int) -> int:
+    def __post_init__(self) -> None:
+        if self.d < 2:
+            raise ValueError("d must be at least 2")
+        if self.r < 1 or self.n < 0:
+            raise ValueError("need r >= 1 and n >= 0")
+
+    def of(self, d: int, r: int) -> Checkpoint:
+        """This checkpoint if its key is (d, r); else ValueError naming both."""
+        if (self.d, self.r) != (d, r):
+            raise ValueError(f"the checkpoint counts d={self.d} r={self.r}, not d={d} r={r}")
+        return self
+
+    def count(self) -> int:
         """The avoider count a(n) of this layer: its table, weighted with
         at most ``d - 1`` rows per shape."""
-        return _weighted_total(self.table, r * self.n, d - 1)
+        return _weighted_total(self.table, self.r * self.n, self.d - 1)
 
-    def advance(self, d: int, r: int, n: int) -> Iterator[int]:
+    def advance(self, n: int) -> Iterator[int]:
         """Move on to layer ``n`` one letter at a time, yielding each new
         layer's index once this checkpoint holds that layer. The tables are
         capped at ``d - 1`` rows. This is the one place layers are
-        advanced, and its argument check, made at the first step, is the
-        one every count shares."""
-        if d < 2:
-            raise ValueError("d must be at least 2")
-        if r < 1 or n < 0:
+        advanced; its check of ``n`` is made at the first step."""
+        if n < 0:
             raise ValueError("need r >= 1 and n >= 0")
-        if not 0 <= self.n <= n:
+        if self.n > n:
             raise ValueError(f"cannot start layers 0..{n} at layer {self.n}")
         while self.n < n:
-            self.table = advance_layer(self.table, r, d - 1, r * self.n)
+            self.table = advance_layer(self.table, self.r, self.d - 1, self.r * self.n)
             self.n += 1
             yield self.n
 
@@ -152,8 +163,8 @@ def kostka_uniform(shape: Partition, r: int, n: int) -> int:
         )
     # capped at the shape's own k rows, i.e. d = k + 1: no needed shape is pruned
     cap = max(len(shape), 1)
-    layer = Checkpoint()
-    deque(layer.advance(cap + 1, r, n), maxlen=0)
+    layer = Checkpoint(cap + 1, r)
+    deque(layer.advance(n), maxlen=0)
     _, row1, row2, *_ = (*shape, 0, 0, 0)
     run = layer.table.get(shape[2:], ())
     return run[row1 - row2] if row1 - row2 < len(run) else 0
@@ -211,21 +222,21 @@ def avoiders_count(
 ) -> int:
     """Number of words with exactly ``r`` copies of each of 1..n containing
     no strictly increasing subsequence of length ``d``. Only the last table
-    is weighted. With ``start``, a checkpoint at layer ``start.n <= n``, the
-    pass resumes from it and moves it on to layer ``n``."""
-    layer = Checkpoint() if start is None else start
-    deque(layer.advance(d, r, n), maxlen=0)
-    return layer.count(d, r)
+    is weighted. With ``start``, a (d, r) checkpoint (ValueError if not) at
+    layer ``start.n <= n``, the pass resumes from it and moves it on to n."""
+    layer = Checkpoint(d, r) if start is None else start.of(d, r)
+    deque(layer.advance(n), maxlen=0)
+    return layer.count()
 
 
 def avoiders_sequence(
     d: int, r: int, n_max: int, start: Checkpoint | None = None
 ) -> list[int]:
     """Terms 0..n_max of the avoider counts, from one pass over the layer
-    tables, each one weighted. With ``start``, a checkpoint at a layer whose
-    term the caller already has, the pass resumes from it, returns only the
-    terms start.n+1..n_max and leaves ``start`` at layer ``n_max``."""
-    layer = Checkpoint() if start is None else start
-    terms = [layer.count(d, r) for _ in layer.advance(d, r, n_max)]
+    tables, each one weighted. With ``start``, a (d, r) checkpoint (else
+    ValueError) at a layer whose term the caller already has, the pass
+    resumes from it, returns only start.n+1..n_max and leaves it at n_max."""
+    layer = Checkpoint(d, r) if start is None else start.of(d, r)
+    terms = [layer.count() for _ in layer.advance(n_max)]
     # without a start, a(0) = 1 counts the empty word
     return terms if start is not None else [1, *terms]

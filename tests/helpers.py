@@ -221,8 +221,8 @@ def decoded(table, size: int) -> dict[tuple[int, ...], int]:
 def cold_tables(d: int, r: int, n: int) -> list[dict[tuple[int, ...], int]]:
     """Layer tables 0..n of one pass from layer 0, decoded to
     ``{shape: count}``."""
-    layer = Checkpoint()
-    tables = [layer.table, *(layer.table for _ in layer.advance(d, r, n))]
+    layer = Checkpoint(d, r)
+    tables = [layer.table, *(layer.table for _ in layer.advance(n))]
     return [decoded(table, r * i) for i, table in enumerate(tables)]
 
 

@@ -232,9 +232,17 @@ class TestCountAndOracle:
         assert main(["oracle", "--d", "3", "--r", "1", "--n", "4"]) == 0
         assert capsys.readouterr().out == "14\n"
 
-    def test_domain_error_exits_one(self, capsys):
-        assert main(["count", "--d", "1", "--r", "1", "--n", "3"]) == 1
-        assert "error:" in capsys.readouterr().err
+    @pytest.mark.parametrize("argv, message", [
+        (["count", "--d", "1", "--r", "1", "--n", "3"], "d must be at least 2"),
+        (["count", "--d", "3", "--r", "0", "--n", "3"], "need r >= 1 and n >= 0"),
+        (["count", "--d", "3", "--r", "1", "--n", "-1"], "need r >= 1 and n >= 0"),
+        (["seq", "--d", "1", "--r", "1", "--nmax", "3"], "d must be at least 2"),
+    ], ids=["count-d", "count-r", "count-n", "seq-d"])
+    def test_domain_error_exits_one(self, capsys, cache, argv, message):
+        if argv[0] == "seq":
+            argv = [*argv, "--cache-dir", cache]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_count_past_the_digit_limit(self, capsys):
         # no increasing run of 3 from two letters: C(34000, 17000), 10,233 digits

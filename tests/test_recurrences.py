@@ -223,15 +223,22 @@ class TestSearchBox:
                     for max_degree in (None, 0, 3, 30):
                         resolved, tops = search_box(n, max_order, max_degree, holdout)
                         assert resolved == h
-                        assert list(tops) == list(range(1, max_order + 1))
+                        # only the orders whose degree 0 the terms determine
+                        assert list(tops) == [o for o in range(1, max_order + 1) if n - h - o >= o + 1]
                         box = default if max_degree is None else max_degree
                         for o, top in tops.items():
                             windows = n - h - o
                             # unknowns grow with the degree, so the top's
                             # windows cover every degree below it
-                            assert top < 0 or windows >= (o + 1) * (top + 1), (n, holdout, o)
+                            assert top >= 0 and windows >= (o + 1) * (top + 1), (n, holdout, o)
                             assert windows < (o + 1) * (top + 2) or top + 1 > box, (n, holdout, o)
-                            assert (top == -1) == (windows < o + 1), (n, holdout, o)
+
+    def test_orders_stop_where_the_terms_determine_none(self):
+        # 181 terms, 45 held out: 136 - o training windows cover order o's
+        # o + 1 unknowns at degree 0 up to o = 67, whatever max_order asks
+        holdout, tops = search_box(181, 10**6)
+        assert holdout == 45
+        assert list(tops) == list(range(1, 68))
 
     @pytest.mark.parametrize("args, error, message", [
         ((20, 0), ValueError, "need max_order >= 1 and max_degree >= 0"),

@@ -262,7 +262,7 @@ class TestCache:
 
 def stored_layer(directory, d=3, r=1, n=12):
     """The record 0..n and its layer-n checkpoint, both stored."""
-    layer = Checkpoint()
+    layer = Checkpoint(d, r)
     rec = record(d=d, r=r, terms=(1, *avoiders_sequence(d, r, n, layer)))
     cache_store(rec, directory, layer)
     return rec, layer
@@ -388,7 +388,7 @@ class TestLayerCheckpoint:
     def test_lower_store_keeps_the_higher_checkpoint(self, tmp_path, caplog):
         rec, _ = stored_layer(tmp_path)
         kept = layer_path(tmp_path, 3, 1).read_text()
-        lower = Checkpoint()
+        lower = Checkpoint(3, 1)
         avoiders_sequence(3, 1, 8, lower)
         with caplog.at_level(logging.WARNING, logger="seqlab.storage"):
             cache_store(rec, tmp_path, lower)
@@ -411,11 +411,19 @@ class TestLayerCheckpoint:
         rec, layer = stored_layer(tmp_path, n=8)
         assert layer_load(rec, tmp_path) == layer
 
+    def test_checkpoint_of_another_key_is_refused_before_any_write(self, tmp_path):
+        layer = Checkpoint(5, 2)
+        avoiders_sequence(5, 2, 10, layer)
+        rec = record(d=4, r=2, terms=(1, *avoiders_sequence(4, 2, 10)))
+        with pytest.raises(ValueError, match=r"^the checkpoint counts d=5 r=2, not d=4 r=2$"):
+            cache_store(rec, tmp_path, layer)
+        assert list(tmp_path.iterdir()) == []
+
     def test_failed_write_leaves_no_temp_file(self, tmp_path):
         rec, _ = stored_layer(tmp_path)
         kept = layer_path(tmp_path, 3, 1).read_text()
         longer = record(terms=(*rec.terms, 0, 0, 0, 0, 0, 0, 0, 0))
-        unwritable = Checkpoint(20, LayerTable({(): ["not a count"]}))
+        unwritable = Checkpoint(3, 1, 20, LayerTable({(): ["not a count"]}))
         with pytest.raises(ValueError):
             cache_store(longer, tmp_path, unwritable)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["A_d3_r1.bfile", "A_d3_r1.layer"]
@@ -425,7 +433,7 @@ class TestLayerCheckpoint:
         import seqlab.tableaux
 
         rec, _ = stored_layer(tmp_path, d=4, r=1, n=40)
-        cold = avoiders_sequence(4, 1, 60, Checkpoint())
+        cold = avoiders_sequence(4, 1, 60, Checkpoint(4, 1))
         shapes = []
         original = seqlab.tableaux.syt_count
         monkeypatch.setattr(

@@ -40,14 +40,14 @@ def one_shape(shape):
 
 
 def last_checkpoint(d, r, n):
-    layer = Checkpoint()
-    deque(layer.advance(d, r, n), maxlen=0)
+    layer = Checkpoint(d, r)
+    deque(layer.advance(n), maxlen=0)
     return layer
 
 
 class TestAdvanceLayer:
     def test_from_empty(self):
-        assert decoded(advance_layer(Checkpoint().table, 2, 2, 0), 2) == {(2,): 1}
+        assert decoded(advance_layer(Checkpoint(3, 2).table, 2, 2, 0), 2) == {(2,): 1}
 
     def test_from_single_row(self):
         table = advance_layer(LayerTable({(): [1]}), 2, 2, 2)
@@ -58,7 +58,7 @@ class TestAdvanceLayer:
     def test_runs_are_canonical(self):
         # every run starts at row 1 = row 2 and holds no zero, so len() counts
         # the shapes and values() yields their counts
-        table = Checkpoint().table
+        table = Checkpoint(5, 2).table
         for n in range(1, 9):
             table = advance_layer(table, 2, 4, 2 * (n - 1))
             shapes = decoded(table, 2 * n)
@@ -68,7 +68,7 @@ class TestAdvanceLayer:
 
     def test_r1_layers_reproduce_standard_counts(self):
         # with one cell per letter, the terminal count is the standard count
-        table = Checkpoint().table
+        table = Checkpoint(4, 1).table
         for n in range(1, 9):
             table = advance_layer(table, 1, 3, n - 1)
             for shape, value in decoded(table, n).items():
@@ -80,7 +80,7 @@ class TestAdvanceLayer:
         # every candidate shape one letter up, kept if it is a horizontal
         # strip over some shape of the layer below
         expected = {(): 1}
-        table = Checkpoint().table
+        table = Checkpoint(cap + 1, r).table
         for n in range(1, 7):
             below = expected
             expected = {}
@@ -97,11 +97,11 @@ class TestAdvanceLayer:
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
-            advance_layer(Checkpoint().table, 0, 2, 0)
+            advance_layer(LayerTable({(): [1]}), 0, 2, 0)
         with pytest.raises(ValueError):
-            advance_layer(Checkpoint().table, 2, 0, 0)
+            advance_layer(LayerTable({(): [1]}), 2, 0, 0)
         with pytest.raises(ValueError):
-            advance_layer(Checkpoint().table, 2, 2, -1)
+            advance_layer(LayerTable({(): [1]}), 2, 2, -1)
 
     def test_row_outgrowing_its_field(self):
         # no row has a field to outgrow: a row of 2^70 cells grows like one
@@ -115,7 +115,7 @@ class TestAdvanceLayer:
 
 class TestLayerTables:
     def test_tables_are_repeated_advances(self):
-        table = Checkpoint().table
+        table = Checkpoint(4, 2).table
         expected = [decoded(table, 0)]
         for n in range(1, 6):
             table = advance_layer(table, 2, 3, 2 * (n - 1))
@@ -123,9 +123,9 @@ class TestLayerTables:
         assert cold_tables(4, 2, 5) == expected
 
     def test_rejects_bad_args(self):
-        for d, r, n in [(1, 1, 3), (3, 0, 3), (3, 1, -1)]:
-            with pytest.raises(ValueError):
-                next(Checkpoint().advance(d, r, n))
+        # a bad key is refused when the checkpoint is made (see TestKey)
+        with pytest.raises(ValueError, match="need r >= 1 and n >= 0"):
+            next(Checkpoint(3, 1).advance(-1))
 
     def test_each_consumer_advances_once_per_letter(self, monkeypatch):
         import seqlab.tableaux
@@ -160,27 +160,27 @@ class TestLayerTables:
 
 class TestResume:
     def test_new_checkpoint_is_layer_zero(self):
-        assert Checkpoint() == Checkpoint(0, LayerTable({(): [1]}))
-        assert list(Checkpoint().advance(3, 1, 5)) == [1, 2, 3, 4, 5]
+        assert Checkpoint(3, 1) == Checkpoint(3, 1, 0, LayerTable({(): [1]}))
+        assert list(Checkpoint(3, 1).advance(5)) == [1, 2, 3, 4, 5]
 
     def test_pass_stopped_part_way_resumes(self):
         # the checkpoint holds each layer by the time it is yielded, so a
         # pass cut after four yields is a checkpoint at layer 4
         cold = avoiders_sequence(4, 2, 10)
-        layer = Checkpoint()
-        deque(islice(layer.advance(4, 2, 10), 4), maxlen=0)
+        layer = Checkpoint(4, 2)
+        deque(islice(layer.advance(10), 4), maxlen=0)
         assert layer.n == 4
-        assert layer.count(4, 2) == cold[4]
+        assert layer.count() == cold[4]
         assert avoiders_sequence(4, 2, 10, layer) == cold[5:]
         assert layer == last_checkpoint(4, 2, 10)
         assert decoded(layer.table, 20) == cold_tables(4, 2, 10)[-1]
 
     @pytest.mark.parametrize("d, r, lo, hi", [(3, 1, 15, 40), (4, 2, 0, 6), (5, 2, 4, 12), (4, 3, 5, 5)])
     def test_resumed_pass_matches_a_cold_one(self, d, r, lo, hi):
-        start = Checkpoint()
+        start = Checkpoint(d, r)
         head = avoiders_sequence(d, r, lo, start)
         assert start.n == lo
-        assert start.count(d, r) == avoiders_count(d, r, lo)
+        assert start.count() == avoiders_count(d, r, lo)
         tail = avoiders_sequence(d, r, hi, start)
         assert [1, *head, *tail] == avoiders_sequence(d, r, hi)
         # the table moved on is the cold pass's last table, run for run
@@ -188,27 +188,55 @@ class TestResume:
 
     @pytest.mark.parametrize("d, r", [(3, 1), (6, 1), (4, 2)])
     def test_chained_counts_match_one_pass(self, d, r):
-        start = Checkpoint()
+        start = Checkpoint(d, r)
         chained = [avoiders_count(d, r, n, start) for n in range(41)]
         assert chained == avoiders_sequence(d, r, 40)
         assert start == last_checkpoint(d, r, 40)
 
     @pytest.mark.parametrize("d", [3, 4])
     def test_resumed_checkpoint_holds_only_its_layer(self, d):
-        # 15 to 40 crosses a change of the checkpoint file's key width (4 to
-        # 6 bits); the checkpoint carries nothing past its layer's table, so
-        # the resumed one equals the cold one
-        assert [f.name for f in fields(Checkpoint)] == ["n", "table"]
-        start = Checkpoint()
+        # the checkpoint carries its key and its layer's table, and no memo
+        # of the layers before, so the resumed one equals the cold one
+        assert [f.name for f in fields(Checkpoint)] == ["d", "r", "n", "table"]
+        start = Checkpoint(d, 1)
         avoiders_sequence(d, 1, 15, start)
         assert avoiders_sequence(d, 1, 40, start) == avoiders_sequence(d, 1, 40)[16:]
         assert start == last_checkpoint(d, 1, 40)
 
     def test_start_must_not_pass_the_last_layer(self):
-        start = Checkpoint(6, LayerTable())
+        start = Checkpoint(3, 1, 6, LayerTable())
         with pytest.raises(ValueError, match="layer 6"):
-            next(start.advance(3, 1, 5))
-        assert start == Checkpoint(6, LayerTable())
+            next(start.advance(5))
+        assert start == Checkpoint(3, 1, 6, LayerTable())
+
+
+class TestKey:
+    @pytest.mark.parametrize("args, message", [
+        ((1, 1), "d must be at least 2"),
+        ((3, 0), "need r >= 1 and n >= 0"),
+        ((3, 1, -1), "need r >= 1 and n >= 0"),
+    ], ids=["d", "r", "n"])
+    def test_checked_when_made(self, args, message):
+        with pytest.raises(ValueError) as raised:
+            Checkpoint(*args)
+        assert str(raised.value) == message
+
+    def test_count_refuses_a_checkpoint_of_another_key(self):
+        # a (4,2) table moved on as (5,2) would count other words
+        start = last_checkpoint(4, 2, 6)
+        with pytest.raises(ValueError) as raised:
+            avoiders_count(5, 2, 8, start)
+        assert str(raised.value) == "the checkpoint counts d=4 r=2, not d=5 r=2"
+        assert start == last_checkpoint(4, 2, 6)
+        assert avoiders_count(5, 2, 8) == 20472135280
+
+    def test_sequence_refuses_a_checkpoint_of_another_key(self):
+        start = last_checkpoint(3, 1, 6)
+        with pytest.raises(ValueError) as raised:
+            avoiders_sequence(3, 2, 8, start)
+        assert str(raised.value) == "the checkpoint counts d=3 r=1, not d=3 r=2"
+        assert start == last_checkpoint(3, 1, 6)
+        assert avoiders_sequence(3, 2, 8)[7:] == [280221, 2782476]
 
 
 class TestWeighting:
