@@ -14,10 +14,9 @@ layer, so every layer is advanced once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .tableaux import Checkpoint, avoiders_count
 
@@ -101,10 +100,9 @@ def bessel_determinant(k: int, trunc: int) -> list[Fraction]:
     return [Fraction(c, factorial(m)) for m, c in enumerate(series_det(matrix))]
 
 
-@dataclass(frozen=True)
-class GesselCheck:
+class GesselCheck(NamedTuple):
     """Outcome of comparing n!^2 times the determinant coefficients against
-    the counting engine, index by index."""
+    the counting engine, index by index; an immutable named tuple."""
 
     k: int
     n_max: int

@@ -14,18 +14,16 @@ very end.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from math import comb
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .recurrences import InsufficientTermsError
 
 
-@dataclass(frozen=True)
-class GrowthParams:
-    """Growth model a(n) ~ C * mu^n / n^alpha with exact parameters."""
+class GrowthParams(NamedTuple):
+    """Growth model a(n) ~ C * mu^n / n^alpha with exact parameters (an immutable named tuple)."""
 
     mu: int
     alpha: Fraction
@@ -80,8 +78,7 @@ def empirical_growth(terms: Sequence[int]) -> tuple[float, float]:
     return math.exp(m[0][3]), float(m[1][3])
 
 
-@dataclass(frozen=True)
-class ConstantEstimate:
+class ConstantEstimate(NamedTuple):
     """Richardson ladder for the limit of c_n = a(n) * n^alpha / mu^n.
 
     ``rows`` holds (n, c_n, level-1 .. level-k) with None where a level
@@ -89,8 +86,8 @@ class ConstantEstimate:
     value at the last index that supports it (level 0 is the raw tail
     value). The ladder assumes the corrections to c_n expand in integer
     powers of 1/n; that is a working assumption of this tool, not an
-    established property of the data, and the report says so.
-    """
+    established property of the data, and the report says so. Immutable,
+    as a named tuple."""
 
     stride: int
     levels: int

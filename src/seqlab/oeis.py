@@ -16,10 +16,9 @@ from __future__ import annotations
 import os
 import re
 import time
-from dataclasses import dataclass
 from operator import index
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .storage import int_to_text, text_to_int
 
@@ -50,19 +49,18 @@ class MalformedResponseError(OeisError):
         self.payload = payload
 
 
-@dataclass(frozen=True)
-class OeisMatch:
+class OeisMatch(NamedTuple("OeisMatch", [("identifier", str), ("name", str), ("offset", int)])):
     """One matching sequence. ``offset`` is where the query starts as a
     contiguous run of the listed terms, or -1 when the match came from
-    elsewhere (e.g. a remote name match)."""
+    elsewhere (e.g. a remote name match). A named tuple, so immutable, whose
+    ``__new__`` checks the identifier."""
 
-    identifier: str
-    name: str
-    offset: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not _ID_RE.match(self.identifier):
-            raise ValueError(f"bad OEIS identifier {self.identifier!r}")
+    def __new__(cls, identifier: str, name: str, offset: int) -> OeisMatch:
+        if not _ID_RE.match(identifier):
+            raise ValueError(f"bad OEIS identifier {identifier!r}")
+        return super().__new__(cls, identifier, name, offset)
 
 
 def _find_run(haystack: list[int], needle: list[int]) -> int:

@@ -35,12 +35,11 @@ crosses from one column into the next.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from itertools import compress, count
 from math import gcd, isqrt
 from operator import index, mul
 from time import perf_counter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .storage import int_to_text, text_to_int
 
@@ -87,37 +86,32 @@ def poly_eval(coeffs: Sequence[int], n: int) -> int:
 # --- the recurrence type ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PRecurrence:
+class PRecurrence(NamedTuple("PRecurrence", [("coeffs", tuple[tuple[int, ...], ...]), ("offset", int)])):
     """sum_i coeffs[i](n) * a(n+i) = 0 for all n >= offset.
 
     ``coeffs`` runs from the 0-shift polynomial up to the order-shift one.
-    Construction canonicalizes: polynomials trimmed, overall integer content
-    divided out, and the sign flipped so the leading coefficient of the
-    highest-shift polynomial is positive. The highest-shift polynomial must
-    be nonzero.
+    Construction (``__new__``; a named tuple, so immutable) canonicalizes:
+    polynomials trimmed, overall integer content divided out, and the sign
+    flipped so the leading coefficient of the highest-shift polynomial is
+    positive. The highest-shift polynomial must be nonzero.
     """
 
-    coeffs: tuple[tuple[int, ...], ...]
-    offset: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        polys = tuple(poly_trim(c) for c in self.coeffs)
+    def __new__(cls, coeffs: Iterable[Iterable[int]], offset: int = 0) -> PRecurrence:
+        polys = tuple(poly_trim(c) for c in coeffs)
         if len(polys) < 2:
             raise ValueError("a recurrence needs order at least 1")
         if not polys[-1]:
             raise ValueError("the highest-shift coefficient polynomial is zero")
-        if self.offset < 0:
+        if offset < 0:
             raise ValueError("offset must be nonnegative")
-        content = 0
-        for poly in polys:
-            for c in poly:
-                content = gcd(content, c)
+        content = gcd(*(c for poly in polys for c in poly))
         if polys[-1][-1] < 0:
             content = -content
         if content != 1:
             polys = tuple(tuple(c // content for c in poly) for poly in polys)
-        object.__setattr__(self, "coeffs", polys)
+        return super().__new__(cls, polys, offset)
 
     @property
     def order(self) -> int:

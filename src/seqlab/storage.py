@@ -29,10 +29,9 @@ import re
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
 from operator import index
 from pathlib import Path
-from typing import Callable, Iterable, TextIO, TypeVar
+from typing import Callable, Iterable, NamedTuple, TextIO, TypeVar
 
 from .partitions import is_partition
 from .tableaux import Checkpoint, LayerTable
@@ -60,28 +59,28 @@ def _utc_now() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
 
 
-@dataclass(frozen=True)
-class SequenceRecord:
+class SequenceRecord(NamedTuple("SequenceRecord", [
+        ("d", int), ("r", int), ("terms", tuple[int, ...]), ("provenance", str), ("timestamp", str)])):
     """One persisted sequence: the (d, r) key, terms from index 0, and how
-    the terms were obtained. A term that is no int, such as a float or a
-    str, raises TypeError."""
+    the terms were obtained, stamped now by default. A term that is no int,
+    such as a float or a str, raises TypeError. A named tuple, so immutable,
+    whose ``__new__`` checks the fields."""
 
-    d: int
-    r: int
-    terms: tuple[int, ...]
-    provenance: str = PROVENANCE_COMPUTED
-    timestamp: str = field(default_factory=_utc_now)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "terms", tuple(map(index, self.terms)))
-        if self.d < 2 or self.r < 1:
+    def __new__(cls, d: int, r: int, terms: Iterable[int], provenance: str = PROVENANCE_COMPUTED,
+                timestamp: str | None = None) -> SequenceRecord:
+        terms = tuple(map(index, terms))
+        if d < 2 or r < 1:
             raise ValueError("need d >= 2 and r >= 1")
-        if not self.terms:
+        if not terms:
             raise ValueError("a record must hold at least one term")
-        if self.terms[0] != 1:
+        if terms[0] != 1:
             raise ValueError("terms must start at index 0 with the value 1")
-        if self.provenance not in _PROVENANCES:
-            raise ValueError(f"unknown provenance {self.provenance!r}")
+        if provenance not in _PROVENANCES:
+            raise ValueError(f"unknown provenance {provenance!r}")
+        stamp = _utc_now() if timestamp is None else timestamp
+        return super().__new__(cls, d, r, terms, provenance, stamp)
 
 
 _DECIMAL_RE = re.compile(r"[+-]?[0-9]+")
@@ -233,8 +232,7 @@ def cache_load(
                 message = f"cache file metadata says {key}={meta[key]}, expected {expected}"
                 raise CacheError(message, path=path)
         provenance = meta.get("provenance", PROVENANCE_COMPUTED)
-        timestamp = meta.get("timestamp", _utc_now())
-        return SequenceRecord(d=d, r=r, terms=tuple(terms), provenance=provenance, timestamp=timestamp)
+        return SequenceRecord(d, r, terms, provenance, meta.get("timestamp"))
 
     return _read(path, "cache file", parse)
 

@@ -21,7 +21,6 @@ a layer and its table, and ``Checkpoint.advance`` is the one way it moves on.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from itertools import chain
 from math import comb, prod
 from operator import add, mul
@@ -45,22 +44,34 @@ class LayerTable(dict):
         return chain.from_iterable(dict.values(self))
 
 
-@dataclass
 class Checkpoint:
     """Layer ``n``'s table for the key (d, r), checked when it is made:
-    where a pass over the layers resumes. A new checkpoint is layer 0, and
-    ``advance`` is the one way a pass moves it on."""
+    where a pass over the layers resumes. A new checkpoint is layer 0, the
+    one layer with a default table, and ``advance`` is the one way a pass
+    moves it on. Slotted: the key is read-only and only n and table move."""
 
-    d: int
-    r: int
-    n: int = 0
-    table: LayerTable = field(default_factory=lambda: LayerTable({(): [1]}))  # the empty filling
+    __slots__ = ("_d", "_r", "n", "table")
 
-    def __post_init__(self) -> None:
-        if self.d < 2:
+    def __init__(self, d: int, r: int, n: int = 0, table: LayerTable | None = None) -> None:
+        if d < 2:
             raise ValueError("d must be at least 2")
-        if self.r < 1 or self.n < 0:
+        if r < 1 or n < 0:
             raise ValueError("need r >= 1 and n >= 0")
+        if table is None and n:
+            raise ValueError(f"layer {n} needs its table: only layer 0 has one by default")
+        self._d, self._r, self.n = d, r, n
+        self.table = LayerTable({(): [1]}) if table is None else table  # the empty filling
+
+    d = property(lambda self: self._d)
+    r = property(lambda self: self._r)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.d, self.r, self.n, self.table) == (other.d, other.r, other.n, other.table)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(d={self.d!r}, r={self.r!r}, n={self.n!r}, table={self.table!r})"
 
     def of(self, d: int, r: int) -> Checkpoint:
         """This checkpoint if its key is (d, r); else ValueError naming both."""

@@ -307,6 +307,23 @@ def test_cold_import_leaves_out_the_network_stack(fixture_server):
     assert child.stdout.splitlines() == ["[]", "A000108 2 Catalan numbers"]
 
 
+def test_cold_import_leaves_out_dataclasses():
+    # the records are named tuples and the checkpoint a slotted class, so no
+    # command's start-up loads dataclasses or what it brings in to generate
+    # methods; a fresh -S -E interpreter, as in the test above
+    code = (
+        f"import sys; sys.path.insert(0, {str(SRC)!r})\n"
+        "import seqlab.cli\n"
+        "print(sorted(m for m in ('dataclasses', 'inspect', 'ast', 'dis') if m in sys.modules))\n"
+    )
+    child = subprocess.run(
+        [sys.executable, "-S", "-E", "-c", code],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == "[]\n"
+
+
 class TestRateLimit:
     def test_spacing_enforced(self, monkeypatch):
         clock = {"now": 100.0}

@@ -1,5 +1,4 @@
 from collections import deque
-from dataclasses import fields
 from itertools import islice
 from math import comb, factorial
 from pathlib import Path
@@ -197,8 +196,9 @@ class TestResume:
     def test_resumed_checkpoint_holds_only_its_layer(self, d):
         # the checkpoint carries its key and its layer's table, and no memo
         # of the layers before, so the resumed one equals the cold one
-        assert [f.name for f in fields(Checkpoint)] == ["d", "r", "n", "table"]
         start = Checkpoint(d, 1)
+        assert not hasattr(start, "__dict__")
+        assert Checkpoint.__slots__ == ("_d", "_r", "n", "table")
         avoiders_sequence(d, 1, 15, start)
         assert avoiders_sequence(d, 1, 40, start) == avoiders_sequence(d, 1, 40)[16:]
         assert start == last_checkpoint(d, 1, 40)
@@ -237,6 +237,43 @@ class TestKey:
         assert str(raised.value) == "the checkpoint counts d=3 r=1, not d=3 r=2"
         assert start == last_checkpoint(3, 1, 6)
         assert avoiders_sequence(3, 2, 8)[7:] == [280221, 2782476]
+
+    def test_only_layer_0_has_a_default_table(self):
+        # layer 0's table taken as layer 5's would count a(5) = 1, not 42
+        with pytest.raises(ValueError) as raised:
+            Checkpoint(3, 1, 5)
+        assert str(raised.value) == "layer 5 needs its table: only layer 0 has one by default"
+        assert Checkpoint(3, 1, 0) == Checkpoint(3, 1) == Checkpoint(3, 1, 0, LayerTable({(): [1]}))
+        start = Checkpoint(3, 1, 5, last_checkpoint(3, 1, 5).table)
+        assert start.count() == 42
+        assert avoiders_sequence(3, 1, 8, start) == [132, 429, 1430]
+
+    def test_key_is_read_only(self):
+        # a (3,1) table relabelled (5,1) would pass the key check and count
+        # other words
+        start = last_checkpoint(3, 1, 6)
+        for name in ("d", "r"):
+            with pytest.raises(AttributeError):
+                setattr(start, name, 5)
+        assert (start.d, start.r) == (3, 1)
+        with pytest.raises(ValueError) as raised:
+            avoiders_sequence(5, 1, 8, start)
+        assert str(raised.value) == "the checkpoint counts d=3 r=1, not d=5 r=1"
+        assert avoiders_sequence(5, 1, 8)[7:] == [4582, 33324]
+        # the layer and its table still move
+        start.n, start.table = 0, LayerTable({(): [1]})
+        assert start == Checkpoint(3, 1)
+
+    def test_repr_equality_and_no_hash(self):
+        assert repr(Checkpoint(3, 1)) == "Checkpoint(d=3, r=1, n=0, table={(): [1]})"
+        assert repr(last_checkpoint(4, 2, 3)) == (
+            "Checkpoint(d=4, r=2, n=3, table={(): [1, 2, 3, 1], (1,): [1, 2], (2,): [1]})"
+        )
+        assert last_checkpoint(4, 2, 3) == last_checkpoint(4, 2, 3)
+        assert Checkpoint(3, 1) != Checkpoint(4, 1)
+        assert Checkpoint(3, 1) != (3, 1, 0, {(): [1]})
+        with pytest.raises(TypeError):
+            hash(Checkpoint(3, 1))
 
 
 class TestWeighting:
