@@ -4,8 +4,9 @@ the layer checkpoints that let a longer DP pass resume.
 Cache layout is up to two files per (d, r) key, in a directory taken from an
 explicit argument, the SEQLAB_CACHE environment variable, or ``./.seqlab``:
 
-- ``A_d<d>_r<r>.bfile``: the terms. An OEIS-compatible b-file (lines
-  ``n a(n)`` from n = 0) with one leading '#' comment carrying the metadata.
+- ``A_d<d>_r<r>.bfile``: the terms, an OEIS-compatible b-file (lines
+  ``n a(n)`` from n = 0) under one header holding the key and provenance,
+  ``# seqlab d=<d> r=<r> provenance=<p>``, so the same terms give the same bytes.
 - ``A_d<d>_r<r>.layer``: the DP's layer table at some n that the b-file
   covers, written by ``seq`` after its b-file. One header line
   ``# seqlab layer d=.. r=.. n=..``, then one line per slice of the table
@@ -28,7 +29,6 @@ import os
 import re
 import sys
 import tempfile
-import time
 from operator import index
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, TextIO, TypeVar
@@ -55,21 +55,17 @@ class CacheError(Exception):
         self.path = path
 
 
-def _utc_now() -> str:
-    return time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
-
-
 class SequenceRecord(NamedTuple("SequenceRecord", [
-        ("d", int), ("r", int), ("terms", tuple[int, ...]), ("provenance", str), ("timestamp", str)])):
+        ("d", int), ("r", int), ("terms", tuple[int, ...]), ("provenance", str)])):
     """One persisted sequence: the (d, r) key, terms from index 0, and how
-    the terms were obtained, stamped now by default. A term that is no int,
-    such as a float or a str, raises TypeError. A named tuple, so immutable,
-    whose ``__new__`` checks the fields."""
+    the terms were obtained. A term that is no int, such as a float or a
+    str, raises TypeError. A named tuple, so immutable, whose ``__new__``
+    checks the fields."""
 
     __slots__ = ()
 
-    def __new__(cls, d: int, r: int, terms: Iterable[int], provenance: str = PROVENANCE_COMPUTED,
-                timestamp: str | None = None) -> SequenceRecord:
+    def __new__(cls, d: int, r: int, terms: Iterable[int],
+                provenance: str = PROVENANCE_COMPUTED) -> SequenceRecord:
         terms = tuple(map(index, terms))
         if d < 2 or r < 1:
             raise ValueError("need d >= 2 and r >= 1")
@@ -79,8 +75,7 @@ class SequenceRecord(NamedTuple("SequenceRecord", [
             raise ValueError("terms must start at index 0 with the value 1")
         if provenance not in _PROVENANCES:
             raise ValueError(f"unknown provenance {provenance!r}")
-        stamp = _utc_now() if timestamp is None else timestamp
-        return super().__new__(cls, d, r, terms, provenance, stamp)
+        return super().__new__(cls, d, r, terms, provenance)
 
 
 _DECIMAL_RE = re.compile(r"[+-]?[0-9]+")
@@ -127,12 +122,10 @@ def _digits_to_int(text: str) -> int:
     return _digits_to_int(text[:-k]) * 10**k + _digits_to_int(text[-k:])
 
 
-def format_bfile(terms: Iterable[int], comments: Iterable[str] = ()) -> str:
-    """B-file text: optional leading '#' lines, then ``n a(n)`` from n = 0,
-    single space, newline-terminated, values as exact decimal strings."""
-    lines = [f"# {c}" for c in comments]
-    lines += [f"{n} {int_to_text(value)}" for n, value in enumerate(terms)]
-    return "\n".join(lines) + "\n"
+def format_bfile(terms: Iterable[int]) -> str:
+    """B-file text: ``n a(n)`` from n = 0, single space, newline-terminated,
+    values as exact decimal strings."""
+    return "".join(f"{n} {int_to_text(value)}\n" for n, value in enumerate(terms))
 
 
 _HEADER_RE = re.compile(r"#\s*seqlab\s+(.*)")
@@ -146,11 +139,8 @@ def _header_fields(line: str) -> dict[str, str] | None:
 
 
 def record_to_bfile(record: SequenceRecord) -> str:
-    meta = (
-        f"seqlab d={record.d} r={record.r} provenance={record.provenance} "
-        f"timestamp={record.timestamp}"
-    )
-    return format_bfile(record.terms, comments=(meta,))
+    header = f"# seqlab d={record.d} r={record.r} provenance={record.provenance}\n"
+    return header + format_bfile(record.terms)
 
 
 def parse_bfile(text: str) -> tuple[list[int], dict[str, str]]:
@@ -232,7 +222,7 @@ def cache_load(
                 message = f"cache file metadata says {key}={meta[key]}, expected {expected}"
                 raise CacheError(message, path=path)
         provenance = meta.get("provenance", PROVENANCE_COMPUTED)
-        return SequenceRecord(d, r, terms, provenance, meta.get("timestamp"))
+        return SequenceRecord(d, r, terms, provenance)
 
     return _read(path, "cache file", parse)
 
@@ -248,10 +238,10 @@ def cache_store(
     key raises ValueError before anything is written.
 
     Terms are append-only facts: storing fewer terms than already cached is
-    rejected with a keep-longest notice (the longer record wins), and a
+    rejected with a keep-longest notice (the longer record wins), a
     disagreeing overlap raises CacheError rather than overwriting either
-    side. Each write is a temp file plus atomic rename; the temp file is
-    removed whatever interrupts the write.
+    side, and a record equal to the stored one is not written again. Each
+    write is a temp file plus atomic rename, removed whatever interrupts it.
     """
     if layer is not None:
         layer.of(record.d, record.r)
@@ -274,7 +264,7 @@ def cache_store(
                 len(record.terms),
             )
             record = existing
-    if record is not existing:
+    if record != existing:
         _replace(path, lambda handle: handle.write(record_to_bfile(record)))
     if layer is not None:
         _layer_store(record, layer, directory)

@@ -29,8 +29,8 @@ PAIRS = {
     # canonicalized when made: content 2 divided out, the sign flipped
     "PRecurrence": (PRecurrence(((4, 8), (-4, -2))), PRecurrence(coeffs=[[-2, -4], [2, 1]], offset=0)),
     "SequenceRecord": (
-        SequenceRecord(3, 1, (1, 1, 2), "computed", "2024-01-01T00:00:00+00:00"),
-        SequenceRecord(d=3, r=1, terms=[1, 1, 2], timestamp="2024-01-01T00:00:00+00:00"),
+        SequenceRecord(3, 1, (1, 1, 2), "computed"),
+        SequenceRecord(d=3, r=1, terms=[1, 1, 2]),
     ),
 }
 
@@ -40,7 +40,7 @@ FIELDS = {
     "GesselCheck": ("k", "n_max", "failures"),
     "OeisMatch": ("identifier", "name", "offset"),
     "PRecurrence": ("coeffs", "offset"),
-    "SequenceRecord": ("d", "r", "terms", "provenance", "timestamp"),
+    "SequenceRecord": ("d", "r", "terms", "provenance"),
 }
 
 
@@ -68,15 +68,8 @@ def test_reprs():
     assert repr(conjectured_params(3, 1)) == "GrowthParams(mu=4, alpha=Fraction(3, 2))"
     assert repr(PAIRS["PRecurrence"][0]) == "PRecurrence(coeffs=((-2, -4), (2, 1)), offset=0)"
     assert repr(PAIRS["SequenceRecord"][0]) == (
-        "SequenceRecord(d=3, r=1, terms=(1, 1, 2), provenance='computed', "
-        "timestamp='2024-01-01T00:00:00+00:00')"
+        "SequenceRecord(d=3, r=1, terms=(1, 1, 2), provenance='computed')"
     )
-
-
-def test_sequence_record_is_stamped_when_made():
-    record = SequenceRecord(3, 1, (1,))
-    assert record.timestamp and record.timestamp.endswith("+00:00")
-    assert SequenceRecord(3, 1, (1,), timestamp=None).timestamp.endswith("+00:00")
 
 
 @pytest.mark.parametrize("make, message", [
