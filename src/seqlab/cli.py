@@ -47,7 +47,7 @@ log = logging.getLogger("seqlab")
 
 def _emit_terms(terms, fmt: str) -> None:
     if fmt == "bfile":
-        print(format_bfile(terms), end="")
+        sys.stdout.writelines(format_bfile(terms))
     elif fmt == "csv":
         for n, value in enumerate(terms):
             print(f"{n},{int_to_text(value)}")

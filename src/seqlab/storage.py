@@ -2,13 +2,14 @@
 the layer checkpoints that let a longer DP pass resume.
 
 Cache layout is up to two files per (d, r) key, in a directory taken from an
-explicit argument, the SEQLAB_CACHE environment variable, or ``./.seqlab``:
+explicit argument, the SEQLAB_CACHE environment variable, or ``./.seqlab``.
+Each is one ``# seqlab`` header line, then data lines:
 
 - ``A_d<d>_r<r>.bfile``: the terms, an OEIS-compatible b-file (lines
-  ``n a(n)`` from n = 0) under one header holding the key and provenance,
+  ``n a(n)`` from n = 0) under a header holding the key and provenance,
   ``# seqlab d=<d> r=<r> provenance=<p>``, so the same terms give the same bytes.
 - ``A_d<d>_r<r>.layer``: the DP's layer table at some n that the b-file
-  covers, written by ``seq`` after its b-file. One header line
+  covers, written by ``seq`` after its b-file: the header
   ``# seqlab layer d=.. r=.. n=..``, then one line per slice of the table
   (see ``tableaux.LayerTable``) in ascending slice order: the slice's row
   count, its rows, then its run's counts from index 0, as lowercase hex
@@ -17,8 +18,9 @@ explicit argument, the SEQLAB_CACHE environment variable, or ``./.seqlab``:
   of that layer (one for d = 3 at any n; 353 for the 5584 shapes of (5,2)
   at n = 44) and one weighting of it to check when read.
 
-Writes go through a temp file and an atomic rename, so concurrent runs can
-share a cache directory without corrupting it. A store keeps the longer
+Both files are written and read one line at a time, so neither is ever held
+whole. Writes go through a temp file and an atomic rename, so concurrent runs
+can share a cache directory without corrupting it. A store keeps the longer
 record, and the checkpoint at the higher n among those the record covers.
 """
 
@@ -31,7 +33,7 @@ import sys
 import tempfile
 from operator import index
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, TextIO, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, TextIO, TypeVar
 
 from .partitions import is_partition
 from .tableaux import Checkpoint, LayerTable
@@ -122,10 +124,10 @@ def _digits_to_int(text: str) -> int:
     return _digits_to_int(text[:-k]) * 10**k + _digits_to_int(text[-k:])
 
 
-def format_bfile(terms: Iterable[int]) -> str:
-    """B-file text: ``n a(n)`` from n = 0, single space, newline-terminated,
-    values as exact decimal strings."""
-    return "".join(f"{n} {int_to_text(value)}\n" for n, value in enumerate(terms))
+def format_bfile(terms: Iterable[int]) -> Iterator[str]:
+    """The b-file lines of ``terms``, each made as it is taken: ``n a(n)\\n``
+    from n = 0, values as exact decimal strings."""
+    return (f"{n} {int_to_text(value)}\n" for n, value in enumerate(terms))
 
 
 _HEADER_RE = re.compile(r"#\s*seqlab\s+(.*)")
@@ -138,13 +140,8 @@ def _header_fields(line: str) -> dict[str, str] | None:
     return None if m is None else dict(token.partition("=")[::2] for token in m.group(1).split())
 
 
-def record_to_bfile(record: SequenceRecord) -> str:
-    header = f"# seqlab d={record.d} r={record.r} provenance={record.provenance}\n"
-    return header + format_bfile(record.terms)
-
-
-def parse_bfile(text: str) -> tuple[list[int], dict[str, str]]:
-    """Parse b-file text into (terms, metadata).
+def parse_bfile(lines: Iterable[str]) -> tuple[list[int], dict[str, str]]:
+    """Parse b-file lines, such as an open file's, one at a time into (terms, metadata).
 
     Comments are allowed only before the data; indices must run 0, 1, 2, ...
     Anything else raises ValueError -- a damaged file is reported, never
@@ -152,7 +149,8 @@ def parse_bfile(text: str) -> tuple[list[int], dict[str, str]]:
     """
     terms: list[int] = []
     meta: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
+        raw = raw.rstrip("\n")
         line = raw.strip()
         if not line:
             continue
@@ -216,7 +214,7 @@ def cache_load(
     path = cache_path(resolve_cache_dir(cache_dir), d, r)
 
     def parse(handle: TextIO) -> SequenceRecord:
-        terms, meta = parse_bfile(handle.read())
+        terms, meta = parse_bfile(handle)
         for key, expected in (("d", d), ("r", r)):
             if key in meta and meta[key] != int_to_text(expected):
                 message = f"cache file metadata says {key}={meta[key]}, expected {expected}"
@@ -265,20 +263,23 @@ def cache_store(
             )
             record = existing
     if record != existing:
-        _replace(path, lambda handle: handle.write(record_to_bfile(record)))
+        header = f"# seqlab d={record.d} r={record.r} provenance={record.provenance}\n"
+        _replace(path, header, format_bfile(record.terms))
     if layer is not None:
         _layer_store(record, layer, directory)
     return record
 
 
-def _replace(path: Path, write: Callable[[TextIO], object]) -> None:
-    """Write ``path`` through a temp file beside it and an atomic rename.
-    The temp file is removed whatever interrupts the write, and an OSError
-    becomes a CacheError naming ``path``."""
+def _replace(path: Path, header: str, lines: Iterable[str]) -> None:
+    """Write ``header``, then ``lines`` as they come, to ``path`` through a
+    temp file beside it and an atomic rename; the text is never held whole.
+    The temp file is removed whatever interrupts the write, even a line that
+    fails to convert, and an OSError becomes a CacheError naming ``path``."""
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
-            write(handle)
+            handle.write(header)
+            handle.writelines(lines)
         os.replace(tmp_name, path)
     except BaseException as exc:
         try:
@@ -361,8 +362,7 @@ def _layer_store(record: SequenceRecord, layer: Checkpoint, directory: Path) -> 
     no readable header, is replaced. The lines are the table's ``items()``
     in ascending slice order, so the bytes depend on the table alone, not
     on the order the engine built it in."""
-    d, r = layer.d, layer.r
-    path = layer_path(directory, d, r)
+    path = layer_path(directory, layer.d, layer.r)
     try:
         with open(path) as handle:
             held = _layer_header(handle.readline())
@@ -370,7 +370,7 @@ def _layer_store(record: SequenceRecord, layer: Checkpoint, directory: Path) -> 
         held = None
     if (
         held is not None
-        and (held["d"], held["r"]) == (d, r)
+        and (held["d"], held["r"]) == (layer.d, layer.r)
         and layer.n <= held["n"] < len(record.terms)
     ):
         log.warning(
@@ -380,10 +380,6 @@ def _layer_store(record: SequenceRecord, layer: Checkpoint, directory: Path) -> 
             layer.n,
         )
         return
-
-    def write(handle: TextIO) -> None:
-        handle.write(f"# seqlab layer d={d} r={r} n={layer.n}\n")
-        for part, run in sorted(layer.table.items()):
-            handle.write(" ".join(map("{:x}".format, (len(part), *part, *run))) + "\n")
-
-    _replace(path, write)
+    lines = (" ".join(map("{:x}".format, (len(part), *part, *run))) + "\n"
+             for part, run in sorted(layer.table.items()))
+    _replace(path, f"# seqlab layer d={layer.d} r={layer.r} n={layer.n}\n", lines)

@@ -21,6 +21,7 @@ import contextlib
 import hashlib
 import io
 import json
+import logging
 import sys
 import tempfile
 from pathlib import Path
@@ -38,10 +39,18 @@ def replay(argvs: list[list[str]], tmp: Path) -> list[dict]:
     """Run each argv, ``{tmp}`` replaced by ``tmp``, through
     ``seqlab.cli.main`` in turn, and return one record per command."""
     records = []
+    # As in a process of its own, a warning such as keep-longest reaches
+    # stderr through logging's last resort, not through handlers the host
+    # process (pytest) put on the root logger.
+    log = logging.getLogger("seqlab")
     for argv in argvs:
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = cli.main([arg.replace("{tmp}", str(tmp)) for arg in argv])
+        log.propagate = False
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = cli.main([arg.replace("{tmp}", str(tmp)) for arg in argv])
+        finally:
+            log.propagate = True
         stdout = out.getvalue().replace(str(tmp), "{tmp}")
         records.append({
             "argv": argv,

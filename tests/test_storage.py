@@ -1,6 +1,8 @@
+import io
 import logging
 import random
 import sys
+import tracemalloc
 from decimal import Decimal
 from pathlib import Path
 
@@ -19,7 +21,6 @@ from seqlab.storage import (
     layer_load,
     layer_path,
     parse_bfile,
-    record_to_bfile,
     resolve_cache_dir,
     text_to_int,
 )
@@ -74,13 +75,14 @@ class TestSequenceRecord:
 
 class TestBfileFormat:
     def test_plain_text(self):
-        assert format_bfile([1, 1, 2]) == "0 1\n1 1\n2 2\n"
+        assert "".join(format_bfile([1, 1, 2])) == "0 1\n1 1\n2 2\n"
 
-    def test_parse_round_trip_with_metadata(self):
+    def test_parse_round_trip_with_metadata(self, tmp_path):
         rec = record(provenance="extended-by-recurrence")
-        text = record_to_bfile(rec)
+        cache_store(rec, tmp_path)
+        text = cache_path(tmp_path, 3, 1).read_text()
         assert text.splitlines()[0] == "# seqlab d=3 r=1 provenance=extended-by-recurrence"
-        terms, meta = parse_bfile(text)
+        terms, meta = parse_bfile(text.splitlines())
         assert tuple(terms) == rec.terms
         assert meta == {"d": "3", "r": "1", "provenance": "extended-by-recurrence"}
 
@@ -102,17 +104,18 @@ class TestBfileFormat:
             "0 1\n1 1_000\n",      # int() alone takes these two
             "0 1\n1 \u0661\n",
             "0 1\n1 +-1\n",
+            "0 1\x0c1 1\n",       # one line of four fields, as a file reads it
         ],
     )
     def test_parse_rejects_damage(self, text):
         with pytest.raises(ValueError):
-            parse_bfile(text)
+            parse_bfile(io.StringIO(text))
 
     def test_terms_past_the_digit_limit(self):
-        text = format_bfile([1, HUGE, -HUGE])
+        text = "".join(format_bfile([1, HUGE, -HUGE]))
         assert text.splitlines()[1:] == [f"1 {Decimal(HUGE)}", f"2 {Decimal(-HUGE)}"]
         assert len(text.splitlines()[1]) == len("1 ") + 10142
-        assert parse_bfile(text) == ([1, HUGE, -HUGE], {})
+        assert parse_bfile(text.splitlines()) == ([1, HUGE, -HUGE], {})
 
     @pytest.mark.parametrize(
         "value",
@@ -239,14 +242,46 @@ class TestCache:
         assert names == ["A_d3_r1.bfile", "A_d5_r2.bfile"]
 
     def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
-        # the original error propagates, whatever its type
-        def unwritable(record):
-            raise ValueError("Exceeds the limit (4300 digits) for integer string conversion")
+        # a term fails to convert after earlier lines reached the temp file:
+        # the original error propagates, whatever its type, the temp file
+        # goes, and the stored b-file keeps its bytes and its inode
+        cache_store(record(), tmp_path)
+        path = cache_path(tmp_path, 3, 1)
+        stored, inode = path.read_bytes(), path.stat().st_ino
+        longer = record(terms=tuple(catalan(n) for n in range(400)))
+        written = []
 
-        monkeypatch.setattr(storage, "record_to_bfile", unwritable)
+        def unwritable(value):
+            if value == longer.terms[-1]:
+                written.extend(p.stat().st_size for p in tmp_path.glob("*.tmp"))
+                raise ValueError("Exceeds the limit (4300 digits) for integer string conversion")
+            return str(value)
+
+        monkeypatch.setattr(storage, "int_to_text", unwritable)
         with pytest.raises(ValueError, match="4300 digits"):
-            cache_store(record(), tmp_path)
-        assert list(tmp_path.iterdir()) == []
+            cache_store(longer, tmp_path)
+        assert len(written) == 1 and written[0] > 0
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_bytes() == stored and path.stat().st_ino == inode
+
+    def test_cache_files_are_never_held_whole(self, tmp_path):
+        # a b-file of 2000 terms of about 2000 digits, over 4 MB: storing it,
+        # and loading it beyond the record it gives, each takes under a tenth
+        rec = record(terms=(1, *(7**2366 + n for n in range(1999))))
+        tracemalloc.start()
+        try:
+            cache_store(rec, tmp_path)
+            store_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            loaded = cache_load(3, 1, tmp_path)
+            held, load_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = cache_path(tmp_path, 3, 1).stat().st_size
+        assert size > 4_000_000
+        assert loaded == rec
+        assert store_peak < size / 10
+        assert load_peak - held < size / 10
 
     def test_big_terms_survive(self, tmp_path):
         big = tuple([1] + [catalan(n) for n in range(200, 204)] + [HUGE, HUGE**2])
